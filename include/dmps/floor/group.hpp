@@ -10,11 +10,14 @@
 // consults, so it is built read-mostly: all reads go through an immutable
 // GroupSnapshot, published via std::shared_ptr atomic swap. Every
 // membership mutation (add_member / create_group / join / leave /
-// set_policy) is an epoch-bumping copy-on-write publish — the member and
-// group tables are separately shared_ptr'd, so a group-only mutation (the
-// common wire-join case) reuses the member table untouched. Shard worker
-// threads read only snapshots; a snapshot, once obtained, never changes
-// underneath its reader.
+// set_policy) is an epoch-bumping copy-on-write publish, and the copy is
+// persistent rather than whole-table: the member table, each group and each
+// chunk of a group's membership are separately shared_ptr'd, so a publish
+// copies only what the mutation touched. A wire join copies one MemberSet
+// leaf (<= kLeafCapacity ids), the touched group's header and leaf-pointer
+// vector, and the group-pointer vector; every other group and leaf is
+// pointer-identical to the prior snapshot. Shard worker threads read only
+// snapshots; a snapshot, once obtained, never changes underneath its reader.
 //
 // Concurrency contract:
 //   - Mutators are internally serialized (safe from any thread).
@@ -24,9 +27,11 @@
 //     snapshot and read that instead (one epoch check, no shared_ptr churn
 //     — see FloorService).
 //   - Batch scopes many mutations into ONE publish; bulk setup (benches,
-//     session construction) must use it, because a per-mutation publish
-//     copies the mutated table each time.
+//     session construction) must use it. Inside a Batch, groups and leaves
+//     not yet shared with a published snapshot are written in place, so
+//     bulk setup stays O(n) however many mutations it makes.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -44,16 +49,62 @@ struct Member {
   HostId host;
 };
 
+/// A persistent sorted set of MemberIds: an ordered vector of shared,
+/// immutable leaves, each a sorted run of at most kLeafCapacity ids.
+/// Copying a MemberSet copies the leaf pointers only; a mutation then
+/// rewrites the one leaf it touches. Leaves never overlap and are never
+/// empty; a full leaf splits, and two neighbours left holding at most
+/// kLeafCapacity / 2 ids together merge, so memory stays proportional to
+/// size() whatever the join/leave history. Only GroupRegistry mutates one.
+class MemberSet {
+ public:
+  static constexpr std::size_t kLeafCapacity = 256;
+
+  struct Leaf {
+    /// The registry edit (unpublished epoch) that created this leaf. Only
+    /// that edit may write it in place; a later one copies it first,
+    /// because a published snapshot may hold it.
+    std::uint64_t edit = 0;
+    std::uint32_t count = 0;
+    std::array<MemberId, kLeafCapacity> ids;
+
+    const MemberId* begin() const { return ids.data(); }
+    const MemberId* end() const { return ids.data() + count; }
+  };
+
+  bool contains(MemberId id) const;  // O(log n)
+  std::size_t size() const { return size_; }
+  const std::vector<std::shared_ptr<const Leaf>>& leaves() const {
+    return leaves_;
+  }
+
+ private:
+  friend class GroupRegistry;
+
+  /// Add / remove one id; false when already present / absent. Leaves
+  /// stamped `edit` are written in place, every other leaf is copied first.
+  /// Two sets sharing a leaf must never write with the same `edit`: the
+  /// registry copies a group only when it is published, whose leaves all
+  /// carry older stamps, and moves to a new edit at every publish.
+  bool insert(MemberId id, std::uint64_t edit);
+  bool erase(MemberId id, std::uint64_t edit);
+  /// The leaf that holds `id` if any leaf does, else the one it belongs
+  /// in: the last leaf whose first id is <= id (0 when id precedes them
+  /// all). The set must not be empty.
+  std::size_t leaf_for(MemberId id) const;
+  /// leaves_[i], copied first unless `edit` created it.
+  Leaf& writable(std::size_t i, std::uint64_t edit);
+
+  std::vector<std::shared_ptr<const Leaf>> leaves_;
+  std::size_t size_ = 0;
+};
+
 struct Group {
   std::string name;
   FcmMode mode = FcmMode::kFreeAccess;
   PolicyKind policy = PolicyKind::kThreeRegime;
   MemberId chair;
-  std::vector<MemberId> members;  // join order, for iteration
-  // Sorted copy for O(log n) membership tests. A sorted vector (not a hash
-  // set) because every join/leave copy-on-writes the group: copying a flat
-  // vector is a memcpy, copying a hash set is a rehash.
-  std::vector<MemberId> sorted_members;
+  MemberSet members;  // the chair included
 };
 
 /// One immutable, internally consistent view of the conference: member and
@@ -62,12 +113,14 @@ struct Group {
 struct GroupSnapshot {
   std::uint64_t epoch = 0;
   std::shared_ptr<const std::vector<Member>> members;
-  std::shared_ptr<const std::vector<Group>> groups;
+  /// One pointer per group; a group no mutation touched since the prior
+  /// snapshot is the very same object in both.
+  std::shared_ptr<const std::vector<std::shared_ptr<const Group>>> groups;
 
   bool has_member(MemberId id) const { return id.value() < members->size(); }
   bool has_group(GroupId id) const { return id.value() < groups->size(); }
   const Member& member(MemberId id) const { return members->at(id.value()); }
-  const Group& group(GroupId id) const { return groups->at(id.value()); }
+  const Group& group(GroupId id) const { return *groups->at(id.value()); }
   bool in_group(MemberId member, GroupId group) const;
   std::size_t member_count() const { return members->size(); }
   std::size_t group_count() const { return groups->size(); }
@@ -146,13 +199,23 @@ class GroupRegistry {
   }
   void publish_locked() DMPS_REQUIRES(mu_);
   void publish_if_unbatched_locked() DMPS_REQUIRES(mu_);
+  /// groups_[id], first copied (header and leaf pointers only) when the
+  /// published snapshot shares it. Marks the group table dirty.
+  Group& writable_group(GroupId id) DMPS_REQUIRES(mu_);
+  /// The edit stamp for MemberSet writes: the epoch the next publish will
+  /// carry, so every leaf a publish freezes carries an older stamp.
+  std::uint64_t pending_edit() const DMPS_REQUIRES(mu_) {
+    return epoch_.load(std::memory_order_relaxed) + 1;
+  }
 
   // Mutation lock: serializes mutators and Batch scopes. Recursive so a
   // mutator called inside a Batch (which already holds it) re-enters.
   mutable util::RecursiveMutex mu_;
-  // Working tables, guarded by mu_. Snapshots are copied from these.
+  // Working tables, guarded by mu_. Snapshots are built from these: the
+  // member table is copied when dirty; groups_ is copied as pointers, and
+  // a group pointer also in published_ is never written through.
   std::vector<Member> members_ DMPS_GUARDED_BY(mu_);
-  std::vector<Group> groups_ DMPS_GUARDED_BY(mu_);
+  std::vector<std::shared_ptr<Group>> groups_ DMPS_GUARDED_BY(mu_);
   bool members_dirty_ DMPS_GUARDED_BY(mu_) = false;
   bool groups_dirty_ DMPS_GUARDED_BY(mu_) = false;
   int batch_depth_ DMPS_GUARDED_BY(mu_) = 0;

@@ -79,14 +79,15 @@ void FloorServer::replay_hit(floorctl::MemberId member, floorctl::HostId host) {
 
 void FloorServer::handle_join(const net::Message& msg) {
   const auto join = decode_join(msg);
-  if (!join || !registry_.has_member(join->member) ||
-      !registry_.has_group(join->group)) {
-    return;  // malformed or unknown ids: not even a NACK target
+  if (!join) return;
+  const auto snapshot = registry_.snapshot();  // one load per datagram
+  if (!snapshot->has_member(join->member) || !snapshot->has_group(join->group)) {
+    return;  // unknown ids: not even a NACK target
   }
   stations_[join->member.value()] = msg.from;  // learn the home station
   // Idempotent: already-in counts as accepted, so a retransmitted Join
   // after a lost ack converges instead of flapping.
-  const bool accepted = registry_.in_group(join->member, join->group) ||
+  const bool accepted = snapshot->in_group(join->member, join->group) ||
                         registry_.join(join->member, join->group);
   transmit(msg.from, wire_type(MsgKind::kJoinAck),
            encode(JoinAckMsg{join->member, join->group, accepted}));
@@ -94,12 +95,14 @@ void FloorServer::handle_join(const net::Message& msg) {
 
 void FloorServer::handle_leave(const net::Message& msg) {
   const auto leave = decode_leave(msg);
-  if (!leave || !registry_.has_member(leave->member) ||
-      !registry_.has_group(leave->group)) {
+  if (!leave) return;
+  const auto snapshot = registry_.snapshot();  // one load per datagram
+  if (!snapshot->has_member(leave->member) ||
+      !snapshot->has_group(leave->group)) {
     return;
   }
   bool accepted;
-  if (!registry_.in_group(leave->member, leave->group)) {
+  if (!snapshot->in_group(leave->member, leave->group)) {
     accepted = true;  // idempotent: a retransmitted Leave re-acks
   } else {
     // A leaving member gives back any floor it still holds (and abandons

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <numeric>
+#include <optional>
+#include <set>
+#include <vector>
+
 #include "clock/drift_clock.hpp"
 #include "floor/service.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
+#include "util/sanitizers.hpp"
 
 namespace {
 
@@ -563,6 +572,258 @@ TEST(GroupSnapshot, ServiceArbitratesAgainstAnExplicitSnapshot) {
   // arbitration input.
   EXPECT_EQ(service.request(*stale, r).outcome, Outcome::kDenied);
   EXPECT_EQ(service.request(r).outcome, Outcome::kGranted);
+}
+
+// ---------------------------------------------------------------- MemberSet
+
+constexpr std::size_t kLeaf = MemberSet::kLeafCapacity;
+
+std::vector<MemberId> flatten(const MemberSet& set) {
+  std::vector<MemberId> ids;
+  ids.reserve(set.size());
+  for (const auto& leaf : set.leaves()) ids.insert(ids.end(), leaf->begin(), leaf->end());
+  return ids;
+}
+
+std::vector<std::size_t> leaf_counts(const MemberSet& set) {
+  std::vector<std::size_t> counts;
+  counts.reserve(set.leaves().size());
+  for (const auto& leaf : set.leaves()) counts.push_back(leaf->count);
+  return counts;
+}
+
+/// The structural invariants: ids strictly ascending across leaves, every
+/// leaf non-empty and within capacity, every adjacent pair holding more
+/// than half a leaf, size() the true count.
+void expect_well_formed(const MemberSet& set) {
+  const auto ids = flatten(set);
+  EXPECT_EQ(ids.size(), set.size());
+  for (std::size_t i = 1; i < ids.size(); ++i) ASSERT_LT(ids[i - 1], ids[i]);
+  const auto counts = leaf_counts(set);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    ASSERT_GE(counts[i], 1u);
+    ASSERT_LE(counts[i], kLeaf);
+    if (i > 0) {
+      ASSERT_GT(counts[i - 1] + counts[i], kLeaf / 2);
+    }
+  }
+}
+
+/// One group chaired by member 0, over `population` registered members
+/// whose ids are 0 .. population - 1.
+struct Roster {
+  GroupRegistry registry;
+  GroupId group;
+
+  explicit Roster(std::size_t population) {
+    GroupRegistry::Batch batch(registry);
+    for (std::size_t i = 0; i < population; ++i) registry.add_member("m", 1, HostId{1});
+    group = registry.create_group("g", FcmMode::kFreeAccess, MemberId{0});
+  }
+  bool join(std::size_t id) { return registry.join(id_of(id), group); }
+  bool leave(std::size_t id) { return registry.leave(id_of(id), group); }
+  std::shared_ptr<const GroupSnapshot> snap() const { return registry.snapshot(); }
+  const MemberSet& members(const GroupSnapshot& snapshot) const {
+    return snapshot.group(group).members;
+  }
+  static MemberId id_of(std::size_t v) {
+    return MemberId{static_cast<MemberId::value_type>(v)};
+  }
+};
+
+TEST(MemberSet, EmptySetDuplicatesAndAbsentIds) {
+  const MemberSet empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_FALSE(empty.contains(MemberId{0}));
+  EXPECT_TRUE(empty.leaves().empty());
+
+  Roster roster(16);
+  EXPECT_EQ(roster.members(*roster.snap()).size(), 1u);  // the chair
+  EXPECT_TRUE(roster.join(7));
+  const auto epoch = roster.registry.epoch();
+  EXPECT_FALSE(roster.join(7));    // duplicate
+  EXPECT_FALSE(roster.leave(6));   // absent, inside the id range
+  EXPECT_FALSE(roster.leave(15));  // absent, past every leaf
+  EXPECT_FALSE(roster.leave(0));   // the chair anchors the group
+  EXPECT_EQ(roster.registry.epoch(), epoch);  // refusals publish nothing
+  const auto snap = roster.snap();
+  EXPECT_EQ(roster.members(*snap).size(), 2u);
+  EXPECT_TRUE(roster.members(*snap).contains(MemberId{7}));
+  EXPECT_TRUE(roster.leave(7));
+  EXPECT_EQ(flatten(roster.members(*roster.snap())), std::vector<MemberId>{MemberId{0}});
+}
+
+TEST(MemberSet, FullLeafSplitsAtCapacityPlusOne) {
+  // The split writes a copy when the full leaf is already published, and
+  // the leaf itself when one Batch both fills and splits it.
+  for (const bool one_batch : {false, true}) {
+    Roster roster(2 * kLeaf);
+    std::optional<GroupRegistry::Batch> batch;
+    batch.emplace(roster.registry);
+    for (std::size_t i = 1; i < kLeaf; ++i) ASSERT_TRUE(roster.join(2 * i));
+    if (!one_batch) {
+      batch.reset();
+      EXPECT_EQ(leaf_counts(roster.members(*roster.snap())), std::vector<std::size_t>{kLeaf});
+    }
+    // An odd id lands mid-leaf: the full leaf splits into two halves.
+    EXPECT_TRUE(roster.join(101));
+    batch.reset();
+    const auto snap = roster.snap();
+    const MemberSet& set = roster.members(*snap);
+    EXPECT_EQ(leaf_counts(set), (std::vector<std::size_t>{kLeaf / 2 + 1, kLeaf / 2}));
+    EXPECT_EQ(set.size(), kLeaf + 1);
+    expect_well_formed(set);
+  }
+
+  // Past the end of a full last leaf, in-order joins open a new leaf and
+  // leave the full one packed.
+  Roster ordered(2 * kLeaf);
+  for (std::size_t i = 1; i <= kLeaf; ++i) ASSERT_TRUE(ordered.join(i));
+  EXPECT_EQ(leaf_counts(ordered.members(*ordered.snap())), (std::vector<std::size_t>{kLeaf, 1}));
+}
+
+TEST(MemberSet, EmptiedLeafIsDroppedAndSparseNeighboursMerge) {
+  Roster roster(3 * kLeaf);
+  {
+    GroupRegistry::Batch batch(roster.registry);
+    for (std::size_t i = 1; i < 3 * kLeaf; ++i) ASSERT_TRUE(roster.join(i));
+  }
+  EXPECT_EQ(leaf_counts(roster.members(*roster.snap())),
+            (std::vector<std::size_t>{kLeaf, kLeaf, kLeaf}));
+  // Empty the middle leaf one id at a time: its neighbours stay full, so
+  // it shrinks to nothing and is dropped rather than merged.
+  for (std::size_t i = kLeaf; i < 2 * kLeaf; ++i) ASSERT_TRUE(roster.leave(i));
+  EXPECT_EQ(leaf_counts(roster.members(*roster.snap())), (std::vector<std::size_t>{kLeaf, kLeaf}));
+  // Thin both down: once the pair holds half a leaf it becomes one leaf.
+  for (std::size_t i = 1; i <= kLeaf - kLeaf / 4; ++i) {
+    ASSERT_TRUE(roster.leave(i));
+    ASSERT_TRUE(roster.leave(2 * kLeaf + i - 1));
+    expect_well_formed(roster.members(*roster.snap()));
+  }
+  const auto snap = roster.snap();
+  const MemberSet& set = roster.members(*snap);
+  EXPECT_EQ(leaf_counts(set), std::vector<std::size_t>{kLeaf / 2});
+  EXPECT_TRUE(set.contains(MemberId{0}));
+}
+
+TEST(MemberSet, RandomizedAgainstStdSet) {
+  // 2 * 10^4 joins and leaves over a small id space, so they collide
+  // often, in runs that alternate between one publish per op and one
+  // Batch per run. Snapshots taken along the way must never change.
+  constexpr std::size_t kIds = 3 * kLeaf;
+  Roster roster(kIds);
+  std::set<MemberId> model{MemberId{0}};
+  std::vector<std::pair<std::shared_ptr<const GroupSnapshot>, std::vector<MemberId>>> frozen;
+  util::Rng rng(20010416);
+  std::size_t most_leaves = 0, leaves = 0, shrinks = 0;
+  int op = 0;
+  while (op < 20000) {
+    std::optional<GroupRegistry::Batch> batch;
+    if (rng.chance(0.5)) batch.emplace(roster.registry);
+    // Every 4000 ops the mix tilts between growing and shrinking.
+    const double grow = (op / 4000) % 2 == 0 ? 0.65 : 0.35;
+    for (std::size_t n = 1 + rng.index(40); n > 0; --n, ++op) {
+      const std::size_t id = 1 + rng.index(kIds - 1);
+      const MemberId member{static_cast<MemberId::value_type>(id)};
+      if (rng.chance(grow)) {
+        ASSERT_EQ(roster.join(id), model.insert(member).second) << "op " << op;
+      } else {
+        ASSERT_EQ(roster.leave(id), model.erase(member) == 1) << "op " << op;
+      }
+    }
+    batch.reset();
+    const auto snap = roster.snap();
+    const MemberSet& set = roster.members(*snap);
+    ASSERT_EQ(set.size(), model.size());
+    ASSERT_EQ(flatten(set), std::vector<MemberId>(model.begin(), model.end()));
+    expect_well_formed(set);
+    shrinks += set.leaves().size() < leaves;
+    leaves = set.leaves().size();
+    most_leaves = std::max(most_leaves, leaves);
+    if (frozen.size() < static_cast<std::size_t>(op / 1000)) {
+      frozen.emplace_back(snap, flatten(set));
+    }
+  }
+  for (const auto& [snap, ids] : frozen) EXPECT_EQ(flatten(roster.members(*snap)), ids);
+  // The run split leaves, and merged or dropped them.
+  EXPECT_GE(most_leaves, 3u);
+  EXPECT_GT(shrinks, 0u);
+}
+
+TEST(MemberSet, JoinCopiesOneLeafAndSharesEveryOtherGroup) {
+  GroupRegistry registry;
+  std::vector<MemberId> members;
+  std::vector<GroupId> groups;
+  members.reserve(8 * kLeaf);
+  groups.reserve(3);
+  {
+    GroupRegistry::Batch batch(registry);
+    for (std::size_t i = 0; i < 8 * kLeaf; ++i) {
+      members.push_back(registry.add_member("m", 1, HostId{1}));
+    }
+    for (int g = 0; g < 3; ++g) {
+      groups.push_back(registry.create_group("g", FcmMode::kFreeAccess, members[0]));
+    }
+    // g1 gets every even member: several leaves, with room to split.
+    for (std::size_t i = 2; i < members.size(); i += 2) {
+      ASSERT_TRUE(registry.join(members[i], groups[1]));
+    }
+    for (std::size_t i = 1; i < 100; ++i) ASSERT_TRUE(registry.join(members[i], groups[2]));
+  }
+  const auto before = registry.snapshot();
+  ASSERT_TRUE(registry.join(members[kLeaf + 1], groups[1]));  // an odd id, mid-set
+  const auto after = registry.snapshot();
+
+  // Every other group is the very same object in both snapshots.
+  for (const GroupId g : {groups[0], groups[2]}) {
+    EXPECT_EQ((*before->groups)[g.value()], (*after->groups)[g.value()]);
+  }
+  const MemberSet& old_set = before->group(groups[1]).members;
+  const MemberSet& new_set = after->group(groups[1]).members;
+  ASSERT_GE(old_set.leaves().size(), 4u);
+  EXPECT_EQ(new_set.size(), old_set.size() + 1);
+  EXPECT_FALSE(old_set.contains(members[kLeaf + 1]));  // the old view is frozen
+  std::size_t fresh = 0;
+  for (const auto& leaf : new_set.leaves()) {
+    const auto& old_leaves = old_set.leaves();
+    if (std::find(old_leaves.begin(), old_leaves.end(), leaf) == old_leaves.end()) ++fresh;
+  }
+  EXPECT_LE(fresh, 2u);  // the touched leaf, plus its split half if it split
+}
+
+TEST(MemberSet, FlashCrowdOfUnbatchedJoinsAndLeaves) {
+  // A class start: 10^5 members join one group, each join its own publish
+  // (no Batch), then all leave. Whole-group copy-on-write makes this
+  // quadratic (~40 GB of copying); chunked membership keeps it linear.
+  constexpr std::size_t kCrowd = 100'000;
+  Roster roster(kCrowd + 1);
+  std::vector<std::size_t> crowd(kCrowd);
+  std::iota(crowd.begin(), crowd.end(), 1);
+  // Members arrive in a seeded random order, not id order.
+  util::Rng rng(7);
+  for (std::size_t i = crowd.size(); i > 1; --i) std::swap(crowd[i - 1], crowd[rng.index(i)]);
+
+  const auto start = std::chrono::steady_clock::now();
+  for (const std::size_t m : crowd) ASSERT_TRUE(roster.join(m));
+  const auto full = roster.snap();
+  for (const std::size_t m : crowd) ASSERT_TRUE(roster.leave(m));
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+
+  const MemberSet& crowded = roster.members(*full);
+  EXPECT_EQ(crowded.size(), kCrowd + 1);  // the chair included
+  expect_well_formed(crowded);
+  for (std::size_t i = 0; i <= kCrowd; ++i) ASSERT_TRUE(crowded.contains(Roster::id_of(i)));
+  const auto now = roster.snap();
+  const MemberSet& after = roster.members(*now);
+  EXPECT_EQ(flatten(after), std::vector<MemberId>{MemberId{0}});
+  EXPECT_EQ(after.size(), 1u);
+#if defined(NDEBUG) && !defined(DMPS_SANITIZED)
+  // The bound is for optimized builds: -O0 or a sanitizer multiplies every
+  // access, and the linear-vs-quadratic gap is orders of magnitude anyway.
+  EXPECT_LT(seconds, 2.0) << "2 * 10^5 unbatched membership publishes";
+#endif
+  RecordProperty("flash_crowd_s", std::to_string(seconds));
 }
 
 }  // namespace

@@ -65,6 +65,11 @@ struct Options {
   std::string spawn;  // path to a dmps_floord to own; empty = external daemon
 };
 
+constexpr const char* kUsage =
+    "usage: dmps_loadgen [--host ADDR] [--port N] [--agents N] [--duration S]\n"
+    "                    [--grace S] [--hold-ms N] [--hosts N] [--groups N]\n"
+    "                    [--shards N] [--name NAME] [--spawn PATH/dmps_floord]\n";
+
 /// Where a spawned daemon dumps its metrics on shutdown (read back into the
 /// BENCH json as the daemon-side batch histograms).
 constexpr const char* kSpawnMetricsPath = "dmps_floord_metrics.json";
@@ -119,6 +124,11 @@ struct LoadRun {
 }  // namespace
 
 int main(int argc, char** argv) {
+  tools::check_flags(argc, argv,
+                     {"--host", "--port", "--agents", "--duration", "--grace",
+                      "--hold-ms", "--hosts", "--groups", "--shards", "--name",
+                      "--spawn"},
+                     kUsage);
   LoadRun run;
   Options& opt = run.opt;
   opt.host = tools::flag_string(argc, argv, "--host", opt.host.c_str());

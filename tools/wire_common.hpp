@@ -22,12 +22,55 @@
 // (exactly as it would any stranger's datagram) / agents knock on a port
 // nobody bound.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 namespace dmps::tools {
+
+/// The tool's name for messages: argv[0] without its directory.
+inline const char* tool_name(const char* argv0) {
+  const char* slash = std::strrchr(argv0, '/');
+  return slash != nullptr ? slash + 1 : argv0;
+}
+
+/// Check argv against the flags a tool reads, before any flag_* call.
+/// Every flag takes a value (`--name value` or `--name=value`), so an
+/// unknown flag, a flag without its value or a stray argument exits 2 with
+/// a message naming it. --help / -h prints `usage` and exits 0.
+inline void check_flags(int argc, char** argv,
+                        std::initializer_list<const char*> known,
+                        const char* usage) {
+  const char* tool = tool_name(argv[0]);
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
+      std::fputs(usage, stdout);
+      std::exit(0);
+    }
+    const char* eq = std::strchr(arg, '=');
+    const std::string_view name(
+        arg, eq != nullptr ? static_cast<std::size_t>(eq - arg) : std::strlen(arg));
+    const int shown = static_cast<int>(name.size());  // for %.*s
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "%s: unknown %s '%.*s' (see --help)\n", tool,
+                   arg[0] == '-' ? "flag" : "argument", shown, arg);
+      std::exit(2);
+    }
+    const bool has_value =
+        eq != nullptr ? eq[1] != '\0'
+                      : i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
+    if (!has_value) {
+      std::fprintf(stderr, "%s: flag '%.*s' needs a value\n", tool, shown, arg);
+      std::exit(2);
+    }
+    if (eq == nullptr) ++i;  // skip the value
+  }
+}
 
 /// `--name value` or `--name=value`; nullptr when absent.
 inline const char* flag_value(int argc, char** argv, const char* name) {
@@ -40,15 +83,34 @@ inline const char* flag_value(int argc, char** argv, const char* name) {
   return nullptr;
 }
 
+/// A numeric flag's value must parse completely: exit 2 on "4k" or "abc"
+/// rather than run with whatever prefix strtol/strtod could read.
+inline void require_number(const char* tool, const char* name, const char* v,
+                           const char* end) {
+  if (end == v || *end != '\0') {
+    std::fprintf(stderr, "%s: flag '%s' needs a number, got '%s'\n", tool,
+                 name, v);
+    std::exit(2);
+  }
+}
+
 inline long flag_long(int argc, char** argv, const char* name, long fallback) {
   const char* v = flag_value(argc, argv, name);
-  return v != nullptr ? std::strtol(v, nullptr, 10) : fallback;
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  const long n = std::strtol(v, &end, 10);
+  require_number(tool_name(argv[0]), name, v, end);
+  return n;
 }
 
 inline double flag_double(int argc, char** argv, const char* name,
                           double fallback) {
   const char* v = flag_value(argc, argv, name);
-  return v != nullptr ? std::strtod(v, nullptr) : fallback;
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  require_number(tool_name(argv[0]), name, v, end);
+  return x;
 }
 
 inline std::string flag_string(int argc, char** argv, const char* name,
