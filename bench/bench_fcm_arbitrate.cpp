@@ -13,18 +13,14 @@
 //
 // Micro: arbitrate+release round-trip cost vs group size.
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <future>
 #include <new>
 #include <string>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "clock/drift_clock.hpp"
-#include "floor/parallel_sharded_service.hpp"
 #include "floor/service.hpp"
 #include "floor/sharded_service.hpp"
 #include "obs/registry.hpp"
@@ -36,11 +32,12 @@
 
 #if !defined(DMPS_SANITIZED)
 // Allocation-counting operator new: every heap allocation in this binary
-// bumps the thread-local probe the worker hot loop brackets, which is how
-// the million-member sweep PROVES its zero-steady-state-allocation claim
-// instead of asserting it in a comment. Frees are not counted (recycling
-// buffers on the worker is the design). Disabled under sanitizers — their
-// interposed allocators must keep full ownership of malloc.
+// bumps the thread-local probe the million-member sweep's warm pass
+// brackets, which is how the sweep PROVES its zero-steady-state-allocation
+// claim instead of asserting it in a comment. Frees are not counted
+// (recycling freed nodes and slots is the design). Disabled under
+// sanitizers — their interposed allocators must keep full ownership of
+// malloc.
 //
 // The compiler cannot see that these replacements pair new->malloc with
 // delete->free program-wide, so silence its default-new/free mismatch
@@ -362,578 +359,15 @@ void sharded_sweep_scenario() {
   }
 }
 
-/// One conference world for the strong-scaling sweep: kShards hosts, each
-/// preloaded like DegradedWorld (kFat fat priority-1 holders worth 0.4 of
-/// the host plus tiny priority-2 holders worth another 0.4), with one
-/// priority-3 prober per host whose 0.6 request Media-Suspends the fat
-/// holders and whose release Media-Resumes them. Every probe+release pair
-/// is therefore a real degraded-path arbitration (ordered-index victim walk
-/// + resume sweep), the workload shards scale on.
-struct ScalingWorld {
-  static constexpr int kShards = 16;
-  static constexpr int kFat = 16;
-#ifdef DMPS_SANITIZER_THREAD
-  // TSan slows the sweep ~10x; shrink the load so the tsan CI job still
-  // runs every scenario end to end.
-  static constexpr int kTiny = 96;
-  static constexpr int kPairsPerShard = 150;
-#else
-  static constexpr int kTiny = 384;
-  static constexpr int kPairsPerShard = 2500;
-#endif
-
-  sim::Simulator sim;
-  clk::TrueClock clock{sim};
-  GroupRegistry registry;
-  GroupId group;
-  std::vector<HostId> hosts;
-  std::vector<MemberId> probers;                // one per host
-  std::vector<std::vector<MemberId>> preload;   // per host, fat first
-
-  ScalingWorld() {
-    GroupRegistry::Batch batch(registry);
-    const auto chair = registry.add_member("chair", 3, HostId{1});
-    group = registry.create_group("g", FcmMode::kFreeAccess, chair);
-    for (int h = 0; h < kShards; ++h) {
-      const HostId host{static_cast<std::uint32_t>(h + 1)};
-      hosts.push_back(host);
-      const auto prober = registry.add_member("p" + std::to_string(h), 3, host);
-      (void)registry.join(prober, group);
-      probers.push_back(prober);
-      preload.emplace_back();
-      for (int i = 0; i < kFat + kTiny; ++i) {
-        const bool is_fat = i < kFat;
-        const auto member = registry.add_member(
-            (is_fat ? "fat" : "tiny") + std::to_string(h) + "_" +
-                std::to_string(i),
-            is_fat ? 1 : 2, host);
-        (void)registry.join(member, group);
-        preload.back().push_back(member);
-      }
-    }
-  }
-
-  FloorRequest make_request(MemberId member, HostId host, double qos) const {
-    FloorRequest r;
-    r.group = group;
-    r.member = member;
-    r.host = host;
-    r.qos = media::QosRequirement{qos, qos, qos};
-    return r;
-  }
-
-  /// Seat the resident population on `service` (any facade exposing
-  /// add_host + a synchronous per-shard request path).
-  template <typename AddHost, typename Request>
-  void populate(AddHost&& add_host, Request&& request) {
-    const double fat_qos = 0.4 / kFat;
-    const double tiny_qos = 0.4 / kTiny;
-    for (int h = 0; h < kShards; ++h) {
-      add_host(hosts[static_cast<std::size_t>(h)], Resource{1.0, 1.0, 1.0});
-    }
-    for (int h = 0; h < kShards; ++h) {
-      const auto& members = preload[static_cast<std::size_t>(h)];
-      for (int i = 0; i < kFat + kTiny; ++i) {
-        const bool is_fat = i < kFat;
-        const auto d = request(make_request(
-            members[static_cast<std::size_t>(i)],
-            hosts[static_cast<std::size_t>(h)], is_fat ? fat_qos : tiny_qos));
-        if (d.outcome != Outcome::kGranted &&
-            d.outcome != Outcome::kGrantedDegraded) {
-          std::fprintf(stderr, "scaling preload failed: %s\n", d.reason.c_str());
-          std::abort();
-        }
-      }
-    }
-  }
-};
-
-void parallel_strong_scaling_scenario() {
-  // The ROADMAP scale item, measured: shards execute on real threads. Same
-  // total request load in every row — kShards shards x kPairsPerShard
-  // degraded probe+release pairs — first on the single-threaded
-  // ShardedFloorService (the baseline the speedup column divides by), then
-  // on ParallelShardedFloorService with 1..16 worker threads. The producer
-  // pipelines each shard's probe and release into the shard's mailbox
-  // (per-shard FIFO makes that safe); completions are counted by callback.
-  dmps::bench::table_header(
-      "ALG-FCM: parallel shard execution, strong scaling (16 shards, fixed "
-      "total degraded-arbitration load, workers = threads owning the shards)",
-      "mode      | workers | pairs_total | wall_ms | pairs_per_sec | "
-      "speedup_vs_seq | hw_threads");
-  const int total_pairs = ScalingWorld::kShards * ScalingWorld::kPairsPerShard;
-  const unsigned hw = std::thread::hardware_concurrency();
-  const double probe_qos = 0.6;
-
-  // Sequential baseline: the PR-4 sharded path, one thread doing it all.
-  double seq_wall_ms = 0.0;
-  {
-    ScalingWorld world;
-    ShardedFloorService service{world.registry, world.clock,
-                                Thresholds{0.25, 0.05}};
-    world.populate(
-        [&](HostId host, Resource capacity) { service.add_host(host, capacity); },
-        [&](const FloorRequest& r) { return service.request(r); });
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < ScalingWorld::kPairsPerShard; ++i) {
-      for (int h = 0; h < ScalingWorld::kShards; ++h) {
-        const auto d = service.request(world.make_request(
-            world.probers[static_cast<std::size_t>(h)],
-            world.hosts[static_cast<std::size_t>(h)], probe_qos));
-        if (d.outcome != Outcome::kGrantedDegraded) {
-          std::fprintf(stderr, "scaling probe not degraded: %s\n",
-                       d.reason.c_str());
-          std::abort();
-        }
-        service.release(world.probers[static_cast<std::size_t>(h)],
-                        world.group);
-      }
-    }
-    seq_wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    dmps::bench::row("%-9s | %7d | %11d | %7.1f | %13.0f | %14s | %10u",
-                     "seq", 1, total_pairs, seq_wall_ms,
-                     total_pairs / (seq_wall_ms / 1000.0), "1.00", hw);
-  }
-
-  for (const std::size_t workers : {1u, 2u, 4u, 8u, 16u}) {
-    ScalingWorld world;
-    ParallelShardedFloorService::Options options;
-    options.workers = workers;
-    ParallelShardedFloorService service{world.registry, world.clock,
-                                        Thresholds{0.25, 0.05}, options};
-    // Populate through the shards directly (setup phase, pre-start).
-    world.populate(
-        [&](HostId host, Resource capacity) { service.add_host(host, capacity); },
-        [&](const FloorRequest& r) { return service.shard(r.host)->request(r); });
-    service.start();
-
-    std::atomic<long> degraded{0};
-    std::atomic<long> other{0};
-    std::atomic<long> released{0};
-    const auto on_decision = [&](const Decision& d) {
-      if (d.outcome == Outcome::kGrantedDegraded) {
-        degraded.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        other.fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-    const auto on_release = [&](const ReleaseResult&) {
-      released.fetch_add(1, std::memory_order_relaxed);
-    };
-
-    // Producers partition the shards (disjoint mailboxes keep per-shard
-    // FIFO), so op issue cost does not serialize the sweep at high worker
-    // counts the way one producer thread would.
-    const std::size_t producers = std::min<std::size_t>(workers, 4);
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      std::vector<std::thread> issue;
-      issue.reserve(producers);
-      for (std::size_t p = 0; p < producers; ++p) {
-        issue.emplace_back([&, p] {
-          for (int i = 0; i < ScalingWorld::kPairsPerShard; ++i) {
-            for (std::size_t h = p; h < ScalingWorld::kShards;
-                 h += producers) {
-              service.request(world.make_request(world.probers[h],
-                                                 world.hosts[h], probe_qos),
-                              on_decision);
-              service.release_on(world.hosts[h], world.probers[h],
-                                 world.group, on_release);
-            }
-          }
-        });
-      }
-      for (std::thread& thread : issue) thread.join();
-    }
-    service.drain();
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    // The load is only a measurement if every pair really ran the degraded
-    // path and came back.
-    if (degraded.load() != total_pairs || other.load() != 0 ||
-        released.load() != total_pairs || service.suspended_grants() != 0) {
-      std::fprintf(stderr,
-                   "parallel scaling invariant violated at workers=%zu "
-                   "(degraded=%ld other=%ld released=%ld suspended=%zu)\n",
-                   workers, degraded.load(), other.load(), released.load(),
-                   service.suspended_grants());
-      std::abort();
-    }
-    service.stop();
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2f", seq_wall_ms / wall_ms);
-    dmps::bench::row("%-9s | %7zu | %11d | %7.1f | %13.0f | %14s | %10u",
-                     "parallel", workers, total_pairs, wall_ms,
-                     total_pairs / (wall_ms / 1000.0), speedup, hw);
-  }
-
-  // Same load through the batched submission path: one producer ships each
-  // round as a request_batch of kShards probes plus a pipelined
-  // release_batch (release_on-shaped items make that safe), so every shard
-  // sees one mailbox entry per direction per round instead of
-  // kPairsPerShard individual pushes.
-  for (const std::size_t workers : {1u, 2u, 4u, 8u, 16u}) {
-    ScalingWorld world;
-    ParallelShardedFloorService::Options options;
-    options.workers = workers;
-    ParallelShardedFloorService service{world.registry, world.clock,
-                                        Thresholds{0.25, 0.05}, options};
-    world.populate(
-        [&](HostId host, Resource capacity) { service.add_host(host, capacity); },
-        [&](const FloorRequest& r) { return service.shard(r.host)->request(r); });
-    service.start();
-
-    std::atomic<long> degraded{0};
-    std::atomic<long> other{0};
-    std::atomic<long> released{0};
-    const auto on_decisions = [&](const std::vector<FloorRequest>&,
-                                  std::vector<Decision>& decisions) {
-      for (const Decision& d : decisions) {
-        if (d.outcome == Outcome::kGrantedDegraded) {
-          degraded.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          other.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    };
-    const auto on_releases = [&](const std::vector<HostRelease>&,
-                                 std::vector<ReleaseResult>& results) {
-      released.fetch_add(static_cast<long>(results.size()),
-                         std::memory_order_relaxed);
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < ScalingWorld::kPairsPerShard; ++i) {
-      auto probes = service.take_request_buffer();
-      for (std::size_t h = 0; h < ScalingWorld::kShards; ++h) {
-        probes.push_back(
-            world.make_request(world.probers[h], world.hosts[h], probe_qos));
-      }
-      service.request_batch(std::move(probes), on_decisions);
-      auto releases = service.take_release_buffer();
-      for (std::size_t h = 0; h < ScalingWorld::kShards; ++h) {
-        releases.push_back(
-            HostRelease{world.hosts[h], world.probers[h], world.group});
-      }
-      service.release_batch(std::move(releases), on_releases);
-    }
-    service.drain();
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    if (degraded.load() != total_pairs || other.load() != 0 ||
-        released.load() != total_pairs || service.suspended_grants() != 0) {
-      std::fprintf(stderr,
-                   "batch scaling invariant violated at workers=%zu "
-                   "(degraded=%ld other=%ld released=%ld suspended=%zu)\n",
-                   workers, degraded.load(), other.load(), released.load(),
-                   service.suspended_grants());
-      std::abort();
-    }
-    service.stop();
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2f", seq_wall_ms / wall_ms);
-    dmps::bench::row("%-9s | %7zu | %11d | %7.1f | %13.0f | %14s | %10u",
-                     "batch", workers, total_pairs, wall_ms,
-                     total_pairs / (wall_ms / 1000.0), speedup, hw);
-  }
-}
-
-/// The submission-overhead world: kSubShards shards with effectively
-/// infinite capacity, so every op is a plain grant or release and the
-/// arbitration itself is as cheap as it gets — what remains is the cost of
-/// getting ops to the workers, which is exactly what batching attacks.
-struct SubmissionWorld {
-  static constexpr std::size_t kShards = 16;
-  static constexpr std::size_t kPerShard = 64;  // members (= ops) per shard
-
-  sim::Simulator sim;
-  clk::TrueClock clock{sim};
-  GroupRegistry registry;
-  GroupId group;
-  std::vector<HostId> hosts;
-  std::vector<std::vector<MemberId>> members;  // per shard
-
-  SubmissionWorld() {
-    GroupRegistry::Batch batch(registry);
-    const auto chair = registry.add_member("chair", 3, HostId{1});
-    group = registry.create_group("g", FcmMode::kFreeAccess, chair);
-    for (std::size_t h = 0; h < kShards; ++h) {
-      hosts.push_back(HostId{static_cast<std::uint32_t>(h + 1)});
-      members.emplace_back();
-      for (std::size_t i = 0; i < kPerShard; ++i) {
-        const auto member = registry.add_member(
-            "s" + std::to_string(h) + "_" + std::to_string(i),
-            1 + static_cast<int>(i % 3), hosts.back());
-        (void)registry.join(member, group);
-        members.back().push_back(member);
-      }
-    }
-  }
-
-  FloorRequest make_request(std::size_t h, std::size_t i) const {
-    FloorRequest r;
-    r.group = group;
-    r.member = members[h][i];
-    r.host = hosts[h];
-    r.qos = media::QosRequirement{0.001, 0.001, 0.001};
-    return r;
-  }
-};
-
-void batched_submission_scenario() {
-  // The batching headline number: the same plain-grant request+release
-  // stream submitted three ways at each worker count — per-op with
-  // futures (the result-returning API: one promise allocation and one
-  // futex wait per op), per-op with callbacks (the expert pipelining
-  // path: still two mailbox pushes and two callback invocations per
-  // pair), and through request_batch/release_batch (one mailbox entry
-  // per shard per direction per round, one callback per batch, arena
-  // buffers). batch_gain = this row's ns_per_pair / the batch row's at
-  // the same worker count — how many times fewer ns/op the batched path
-  // takes than that submission style. The sequential facade's batch
-  // surface rides along for parity (workers column 0).
-  dmps::bench::table_header(
-      "ALG-FCM: batched vs per-op submission (16 shards, plain-grant "
-      "request+release pairs, 1024 ops per batch round, best of 3 "
-      "interleaved runs, batch_gain = row ns / batch ns)",
-      "mode      | workers | pairs_total | wall_ms | ns_per_pair | batch_gain");
-#ifdef DMPS_SANITIZED
-  const int rounds = 60;
-#else
-  const int rounds = 1000;
-#endif
-  const long total_pairs = static_cast<long>(rounds) *
-                           SubmissionWorld::kShards *
-                           SubmissionWorld::kPerShard;
-
-  const auto report = [&](const char* mode, std::size_t workers,
-                          double wall_ms, double gain) {
-    const double ns_per_pair = wall_ms * 1e6 / static_cast<double>(total_pairs);
-    char gain_cell[32];
-    if (gain > 0) {
-      std::snprintf(gain_cell, sizeof(gain_cell), "%.2f", gain);
-    } else {
-      std::snprintf(gain_cell, sizeof(gain_cell), "-");
-    }
-    dmps::bench::row("%-9s | %7zu | %11ld | %7.1f | %11.0f | %10s", mode,
-                     workers, total_pairs, wall_ms, ns_per_pair, gain_cell);
-    return ns_per_pair;
-  };
-
-  const auto check = [](long granted, long other, long released,
-                        long expected) {
-    if (granted != expected || other != 0 || released != expected) {
-      std::fprintf(stderr,
-                   "submission invariant violated "
-                   "(granted=%ld other=%ld released=%ld expected=%ld)\n",
-                   granted, other, released, expected);
-      std::abort();
-    }
-  };
-
-  // Sequential facade first: same batch shape, no threads involved.
-  {
-    SubmissionWorld world;
-    ShardedFloorService service{world.registry, world.clock,
-                                Thresholds{0.25, 0.05}};
-    for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-      service.add_host(world.hosts[h], Resource{1e9, 1e9, 1e9});
-    }
-    long granted = 0, other = 0, released = 0;
-    double seq_single_wall = 0.0;
-
-    auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-      for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-        for (std::size_t i = 0; i < SubmissionWorld::kPerShard; ++i) {
-          const Decision d = service.request(world.make_request(h, i));
-          d.outcome == Outcome::kGranted ? ++granted : ++other;
-          released += service
-                          .release_on(world.hosts[h], world.members[h][i],
-                                      world.group)
-                          .released
-                          ? 1
-                          : 0;
-        }
-      }
-    }
-    seq_single_wall = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    check(granted, other, released, total_pairs);
-
-    granted = other = released = 0;
-    std::vector<FloorRequest> requests;
-    std::vector<Decision> decisions;
-    std::vector<HostRelease> releases;
-    std::vector<ReleaseResult> results;
-    t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-      requests.clear();
-      releases.clear();
-      for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-        for (std::size_t i = 0; i < SubmissionWorld::kPerShard; ++i) {
-          requests.push_back(world.make_request(h, i));
-          releases.push_back(
-              HostRelease{world.hosts[h], world.members[h][i], world.group});
-        }
-      }
-      service.request_batch(requests, decisions);
-      for (const Decision& d : decisions) {
-        d.outcome == Outcome::kGranted ? ++granted : ++other;
-      }
-      service.release_batch(releases, results);
-      for (const ReleaseResult& result : results) {
-        released += result.released ? 1 : 0;
-      }
-    }
-    const double seq_batch_wall = std::chrono::duration<double, std::milli>(
-                                      std::chrono::steady_clock::now() - t0)
-                                      .count();
-    check(granted, other, released, total_pairs);
-    report("seq", 0, seq_single_wall,
-           seq_batch_wall > 0 ? seq_single_wall / seq_batch_wall : 0.0);
-    report("seq-batch", 0, seq_batch_wall, 0.0);
-  }
-
-  enum class SubmitMode { kFuture, kSingleton, kBatch };
-  for (const std::size_t workers : {1u, 4u}) {
-    std::atomic<long> granted{0};
-    std::atomic<long> other{0};
-    std::atomic<long> released{0};
-    const auto reset = [&] { granted = other = released = 0; };
-
-    const auto run = [&](SubmitMode mode) -> double {
-      SubmissionWorld world;
-      ParallelShardedFloorService::Options options;
-      options.workers = workers;
-      ParallelShardedFloorService service{world.registry, world.clock,
-                                          Thresholds{0.25, 0.05}, options};
-      for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-        service.add_host(world.hosts[h], Resource{1e9, 1e9, 1e9});
-      }
-      service.start();
-      const auto on_decision = [&](const Decision& d) {
-        if (d.outcome == Outcome::kGranted) {
-          granted.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          other.fetch_add(1, std::memory_order_relaxed);
-        }
-      };
-      const auto on_release = [&](const ReleaseResult& result) {
-        if (result.released) released.fetch_add(1, std::memory_order_relaxed);
-      };
-      const auto on_decisions = [&](const std::vector<FloorRequest>&,
-                                    std::vector<Decision>& decisions) {
-        for (const Decision& d : decisions) on_decision(d);
-      };
-      const auto on_releases = [&](const std::vector<HostRelease>&,
-                                   std::vector<ReleaseResult>& results) {
-        for (const ReleaseResult& result : results) on_release(result);
-      };
-
-      // The future mode keeps a round's worth of ops in flight, then
-      // settles — a per-op window would serialize producer and worker.
-      std::vector<std::future<Decision>> pending_decisions;
-      std::vector<std::future<ReleaseResult>> pending_releases;
-      pending_decisions.reserve(SubmissionWorld::kShards *
-                                SubmissionWorld::kPerShard);
-      pending_releases.reserve(SubmissionWorld::kShards *
-                               SubmissionWorld::kPerShard);
-
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int r = 0; r < rounds; ++r) {
-        switch (mode) {
-          case SubmitMode::kBatch: {
-            auto requests = service.take_request_buffer();
-            auto releases = service.take_release_buffer();
-            for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-              for (std::size_t i = 0; i < SubmissionWorld::kPerShard; ++i) {
-                requests.push_back(world.make_request(h, i));
-                releases.push_back(HostRelease{
-                    world.hosts[h], world.members[h][i], world.group});
-              }
-            }
-            service.request_batch(std::move(requests), on_decisions);
-            service.release_batch(std::move(releases), on_releases);
-            break;
-          }
-          case SubmitMode::kSingleton: {
-            for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-              for (std::size_t i = 0; i < SubmissionWorld::kPerShard; ++i) {
-                service.request(world.make_request(h, i), on_decision);
-                service.release_on(world.hosts[h], world.members[h][i],
-                                   world.group, on_release);
-              }
-            }
-            break;
-          }
-          case SubmitMode::kFuture: {
-            for (std::size_t h = 0; h < SubmissionWorld::kShards; ++h) {
-              for (std::size_t i = 0; i < SubmissionWorld::kPerShard; ++i) {
-                pending_decisions.push_back(
-                    service.request(world.make_request(h, i)));
-                pending_releases.push_back(service.release_on(
-                    world.hosts[h], world.members[h][i], world.group));
-              }
-            }
-            for (std::future<Decision>& pending : pending_decisions) {
-              on_decision(pending.get());
-            }
-            for (std::future<ReleaseResult>& pending : pending_releases) {
-              on_release(pending.get());
-            }
-            pending_decisions.clear();
-            pending_releases.clear();
-            break;
-          }
-        }
-      }
-      service.drain();
-      const double wall_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-      check(granted.load(), other.load(), released.load(), total_pairs);
-      service.stop();
-      return wall_ms;
-    };
-
-    // Best of 3, modes interleaved within each attempt: submission
-    // overhead is tens of ns per pair, well inside scheduler noise on a
-    // loaded machine, and back-to-back sampling keeps one mode from
-    // eating a noisy phase the others missed.
-    double future_wall = 0.0, single_wall = 0.0, batch_wall = 0.0;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      const auto sample = [&](SubmitMode mode, double& best) {
-        reset();
-        const double wall = run(mode);
-        if (attempt == 0 || wall < best) best = wall;
-      };
-      sample(SubmitMode::kFuture, future_wall);
-      sample(SubmitMode::kSingleton, single_wall);
-      sample(SubmitMode::kBatch, batch_wall);
-    }
-    report("future", workers, future_wall,
-           batch_wall > 0 ? future_wall / batch_wall : 0.0);
-    report("singleton", workers, single_wall,
-           batch_wall > 0 ? single_wall / batch_wall : 0.0);
-    report("batch", workers, batch_wall, 0.0);
-  }
-}
-
 void million_member_scenario(const std::string& trace_out) {
   // The memory-diet acceptance run: a whole conference population — one
-  // million member stations by default — spread over 64 host shards folded
-  // onto a handful of workers, driven through the batched pipeline twice.
+  // million member stations by default — spread over 64 host shards of one
+  // ShardedFloorService, driven through per-op request+release twice.
   // Pass 1 is first-touch: it builds every holder-index entry, route entry
   // and pooled index node (that is where the RSS goes). Pass 2 replays the
   // identical stream against the warm structures and must execute with
-  // ZERO heap allocations on the worker hot loop — enforced via the
-  // alloc-probe operator-new hook, not eyeballed.
+  // ZERO heap allocations — enforced via the alloc-probe operator-new hook,
+  // not eyeballed.
   std::size_t member_count =
 #ifdef DMPS_SANITIZED
       50'000;  // sanitizers multiply both memory and time ~10x
@@ -945,45 +379,32 @@ void million_member_scenario(const std::string& trace_out) {
     if (parsed > 0) member_count = static_cast<std::size_t>(parsed);
   }
   constexpr std::size_t kShards = 64;
-  constexpr std::size_t kBatch = 4096;
-  // Drain every few batch-pairs: bounds outstanding grants (~kBatch x
-  // kDrainEvery) so peak RSS reflects the member population, not an
-  // unbounded grant backlog racing ahead of its releases.
-  constexpr std::size_t kDrainEvery = 8;
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t workers = std::min<std::size_t>(hw > 0 ? hw : 1, 8);
 
   dmps::bench::table_header(
-      "ALG-FCM: million-station memory diet (batched request+release over "
-      "64 shards, two passes: cold first-touch, then warm steady state "
-      "which must not allocate on the worker hot loop)",
-      "members | shards | workers | batch | pass1_wall_ms | pass2_wall_ms | "
-      "pass2_us_per_op | hot_loop_allocs | peak_rss_mb | alloc_probe");
+      "ALG-FCM: million-station memory diet (per-op request+release over "
+      "64 shards on one thread, two passes: cold first-touch, then warm "
+      "steady state which must not allocate)",
+      "members | shards | pass1_wall_ms | pass2_wall_ms | pass2_us_per_op | "
+      "hot_loop_allocs | peak_rss_mb | alloc_probe");
 
   sim::Simulator sim;
   clk::TrueClock clock{sim};
   GroupRegistry registry;
   // Metrics and tracing stay ON during the alloc-probed warm pass: striped
-  // atomics, a preallocated ring per worker, and a fingerprint table whose
-  // keys all exist after pass 1 — so pass 2 proves observability itself is
+  // atomics, a preallocated ring, and a fingerprint table whose keys all
+  // exist after pass 1 — so pass 2 proves observability itself is
   // allocation-free, not just tolerated. Actor ids are bucketed to 12 bits
   // (4096 fingerprint keys instead of one per station) and no time source
   // is set (pure-throughput run; fingerprints never read timestamps).
   obs::MetricsRegistry metrics;
-  // dmps-lint: obs-register-begin — per-sweep setup, before workers spawn.
+  // dmps-lint: obs-register-begin — per-sweep setup, before the probed passes.
   obs::FloorInstruments instruments(metrics);
   // dmps-lint: obs-register-end
-  ParallelShardedFloorService::Options options;
-  options.workers = workers;
-  obs::TraceHub trace(workers, 4096);
-  for (std::size_t w = 0; w < trace.size(); ++w) {
-    trace.tracer(w).set_actor_mask(0xFFFu);
-    trace.tracer(w).reserve_actors(4096);
-  }
-  options.instruments = &instruments;
-  options.trace = &trace;
-  ParallelShardedFloorService service{registry, clock,
-                                      Thresholds{0.25, 0.05}, options};
+  obs::Tracer tracer(4096);
+  tracer.set_actor_mask(0xFFFu);
+  tracer.reserve_actors(4096);
+  ShardedFloorService service{registry, clock, Thresholds{0.25, 0.05}};
+  service.set_observability(&instruments, &tracer);
   std::vector<HostId> hosts;
   for (std::size_t h = 0; h < kShards; ++h) {
     hosts.push_back(HostId{static_cast<std::uint32_t>(h + 1)});
@@ -1008,71 +429,41 @@ void million_member_scenario(const std::string& trace_out) {
   // freeze so a lazy registration inside the probed loop throws instead of
   // silently allocating.
   metrics.freeze();
-  service.start();
 
-  std::atomic<long> granted{0};
-  std::atomic<long> other{0};
-  std::atomic<long> released{0};
-  const auto on_decisions = [&](const std::vector<FloorRequest>&,
-                                std::vector<Decision>& decisions) {
-    for (const Decision& d : decisions) {
-      if (d.outcome == Outcome::kGranted) {
-        granted.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        other.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  };
-  const auto on_releases = [&](const std::vector<HostRelease>&,
-                               std::vector<ReleaseResult>& results) {
-    for (const ReleaseResult& result : results) {
-      if (result.released) released.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
+  long granted = 0;
+  long other = 0;
+  long released = 0;
   const auto run_pass = [&]() -> double {
     const auto t0 = std::chrono::steady_clock::now();
-    std::size_t issued = 0;
-    for (std::size_t offset = 0; offset < member_count; offset += kBatch) {
-      const std::size_t end = std::min(offset + kBatch, member_count);
-      auto requests = service.take_request_buffer();
-      auto releases = service.take_release_buffer();
-      for (std::size_t i = offset; i < end; ++i) {
-        FloorRequest r;
-        r.group = group;
-        r.member = members[i];
-        r.host = hosts[i % kShards];
-        r.qos = media::QosRequirement{0.001, 0.001, 0.001};
-        requests.push_back(r);
-        releases.push_back(HostRelease{r.host, r.member, group});
-      }
-      service.request_batch(std::move(requests), on_decisions);
-      service.release_batch(std::move(releases), on_releases);
-      if (++issued % kDrainEvery == 0) service.drain();
+    for (std::size_t i = 0; i < member_count; ++i) {
+      FloorRequest r;
+      r.group = group;
+      r.member = members[i];
+      r.host = hosts[i % kShards];
+      r.qos = media::QosRequirement{0.001, 0.001, 0.001};
+      service.request(r).outcome == Outcome::kGranted ? ++granted : ++other;
+      if (service.release(r.member, group).released) ++released;
     }
-    service.drain();
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
   };
 
   const double pass1_ms = run_pass();
-  const std::uint64_t warm_base = service.hot_loop_allocations();
+  const std::uint64_t warm_base = util::alloc_probe_count();
   const double pass2_ms = run_pass();
-  const std::uint64_t hot_allocs = service.hot_loop_allocations() - warm_base;
-  service.stop();
+  const std::uint64_t hot_allocs = util::alloc_probe_count() - warm_base;
 
   const long expected = 2 * static_cast<long>(member_count);
-  if (granted.load() != expected || other.load() != 0 ||
-      released.load() != expected) {
+  if (granted != expected || other != 0 || released != expected) {
     std::fprintf(stderr,
                  "million sweep invariant violated "
                  "(granted=%ld other=%ld released=%ld expected=%ld)\n",
-                 granted.load(), other.load(), released.load(), expected);
+                 granted, other, released, expected);
     std::abort();
   }
   // Double-entry bookkeeping: the registry's striped counters must merge
-  // to exactly what the callbacks counted (both passes, request + release).
+  // to exactly what the sweep counted (both passes, request + release).
   if (metrics.value("floor.requests") != expected ||
       metrics.value("floor.granted") != expected ||
       metrics.value("floor.releases") != expected) {
@@ -1090,7 +481,7 @@ void million_member_scenario(const std::string& trace_out) {
   if (hot_allocs != 0) {
     std::fprintf(stderr,
                  "million sweep: steady-state pass performed %llu heap "
-                 "allocation(s) on the worker hot loop (must be 0)\n",
+                 "allocation(s) (must be 0)\n",
                  static_cast<unsigned long long>(hot_allocs));
     std::abort();
   }
@@ -1101,30 +492,27 @@ void million_member_scenario(const std::string& trace_out) {
   const double us_per_op =
       pass2_ms * 1000.0 / (2.0 * static_cast<double>(member_count));
   dmps::bench::row(
-      "%7zu | %6zu | %7zu | %5zu | %13.1f | %13.1f | %15.3f | %15llu | "
-      "%11llu | %11s",
-      member_count, kShards, workers, kBatch, pass1_ms, pass2_ms, us_per_op,
+      "%7zu | %6zu | %13.1f | %13.1f | %15.3f | %15llu | %11llu | %11s",
+      member_count, kShards, pass1_ms, pass2_ms, us_per_op,
       static_cast<unsigned long long>(hot_allocs),
       static_cast<unsigned long long>(dmps::bench::peak_rss_kb() / 1024),
       probe_active ? "on" : "off");
-  // The merged fingerprint is order-insensitive per (shard, actor) key, so
-  // thread interleavings cannot change it: deterministic. The member count
-  // is part of the scenario name — sanitizer builds and DMPS_MILLION_MEMBERS
-  // runs produce differently-keyed (hence incomparable) fingerprints rather
-  // than false gate failures.
+  // The member count is part of the scenario name — sanitizer builds and
+  // DMPS_MILLION_MEMBERS runs produce differently-keyed (hence
+  // incomparable) fingerprints rather than false gate failures.
   char scenario[64];
   std::snprintf(scenario, sizeof(scenario), "million/m%zu", member_count);
-  dmps::bench::record_fingerprint(scenario, trace.fingerprint(),
+  dmps::bench::record_fingerprint(scenario, tracer.fingerprint(),
                                   /*deterministic=*/true);
   if (!trace_out.empty()) {
     std::ofstream out(trace_out);
     if (!out) {
       std::fprintf(stderr, "bench: cannot write %s\n", trace_out.c_str());
     } else {
-      trace.write_chrome_trace(out);
-      std::printf("wrote %s (chrome trace, %llu events dropped from rings)\n",
+      tracer.write_chrome_trace(out);
+      std::printf("wrote %s (chrome trace, %llu events dropped from ring)\n",
                   trace_out.c_str(),
-                  static_cast<unsigned long long>(trace.dropped()));
+                  static_cast<unsigned long long>(tracer.dropped()));
     }
   }
 }
@@ -1168,8 +556,6 @@ int main(int argc, char** argv) {
   throughput_scenario();
   degraded_sweep_scenario();
   sharded_sweep_scenario();
-  parallel_strong_scaling_scenario();
-  batched_submission_scenario();
   million_member_scenario(trace_out);
   return dmps::bench::run_micro(argc, argv, "bench_fcm_arbitrate");
 }

@@ -22,8 +22,8 @@ Four checks, each enforcing a rule DESIGN.md states in prose (§10):
                kind and forgetting one of the three is a silent
                interop bug until a daemon drops the frame.
   hot          Inside `// dmps-lint: hot-begin(<name>)` .. `hot-end`
-               regions (the worker drain loop, GrantStore mutation
-               paths, the UDP rx path): no `new` expressions, no
+               regions (GrantStore mutation paths, the UDP rx/tx
+               paths): no `new` expressions, no
                std::function construction, no mutation of
                std::unordered_map members. These are the alloc-probed
                paths; one stray node allocation regresses the

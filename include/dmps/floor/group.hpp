@@ -16,7 +16,7 @@
 // copies only what the mutation touched. A wire join copies one MemberSet
 // leaf (<= kLeafCapacity ids), the touched group's header and leaf-pointer
 // vector, and the group-pointer vector; every other group and leaf is
-// pointer-identical to the prior snapshot. Shard worker threads read only
+// pointer-identical to the prior snapshot. Floor shards read only
 // snapshots; a snapshot, once obtained, never changes underneath its reader.
 //
 // Concurrency contract:

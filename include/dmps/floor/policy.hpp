@@ -42,8 +42,8 @@ namespace dmps::floorctl {
 
 /// Resolved per-request facts a policy may consult beyond the raw request.
 /// FloorService resolves them against an immutable GroupSnapshot (never a
-/// mutable registry — policies may run on shard worker threads while
-/// membership churns); queue promotions replay the facts captured at park
+/// mutable registry — membership may churn on another thread while a
+/// policy runs); queue promotions replay the facts captured at park
 /// time.
 struct RequestContext {
   int priority = 0;  // the requesting member's priority

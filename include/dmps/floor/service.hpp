@@ -7,21 +7,21 @@
 // the chosen ArbitrationPolicy against the GrantStore it owns. Servers
 // (fproto::FloorServer), sessions and benches consume exactly this
 // interface and never see grant slots or policy internals; it is also the
-// per-shard surface ShardedFloorService and ParallelShardedFloorService
-// federate (one FloorService per host station).
+// per-shard surface ShardedFloorService federates (one FloorService per
+// host station).
 //
 // Conference state is read through immutable GroupSnapshots only. The
 // explicit `const GroupSnapshot&` overloads are the core: every request /
 // release / cancel runs against the snapshot it is handed. The
 // convenience overloads resolve the service's cached snapshot (refreshed
 // with one epoch probe when the registry moved) and delegate to them —
-// that is the path shard workers drive; callers that manage their own
-// snapshot (pinning one view across several operations) use the explicit
-// overloads directly. The service never mutates the registry, so a
-// FloorService is safe to drive from its own worker thread while
-// membership churns elsewhere — it simply keeps arbitrating against the
-// snapshot it read. The snapshot cache makes each instance single-owner:
-// exactly one thread may operate a given FloorService at a time.
+// that is the path ShardedFloorService drives; callers that manage their
+// own snapshot (pinning one view across several operations) use the
+// explicit overloads directly. The service never mutates the registry, so
+// a FloorService keeps arbitrating against the snapshot it read while
+// membership churns on another thread. The snapshot cache makes each
+// instance single-owner: exactly one thread may operate a given
+// FloorService at a time.
 //
 // Freed capacity is handled through one capacity-change hook: sweep(host)
 // re-runs Media-Resume and queueing promotions on that host until a

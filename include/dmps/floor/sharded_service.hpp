@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "clock/drift_clock.hpp"
 #include "floor/service.hpp"
@@ -51,25 +50,9 @@ class ShardedFloorService : public FloorControl {
   /// FCM-Arbitrate on the shard owning request.host.
   Decision request(const FloorRequest& request) override;
 
-  /// Batched FCM-Arbitrate: decide every request in input order, writing
-  /// `decisions[i]` for `requests[i]` (the vector is cleared and re-sized,
-  /// capacity reused across calls). Same shape as the parallel facade's
-  /// request_batch, so benches and sessions can swap facades; sequentially
-  /// the win is the amortized per-op routing and buffer reuse.
-  void request_batch(const std::vector<FloorRequest>& requests,
-                     std::vector<Decision>& decisions);
-
   /// Release everything `member` holds in `group` on every shard it was
   /// routed to, dropping parked requests there too.
   ReleaseResult release(MemberId member, GroupId group) override;
-
-  /// Shard-scoped release: drop what `member` holds in `group` on `host`
-  /// only. The route entry keeps any other hosts.
-  ReleaseResult release_on(HostId host, MemberId member, GroupId group);
-
-  /// Batched shard-scoped releases, slot-for-slot like request_batch.
-  void release_batch(const std::vector<HostRelease>& releases,
-                     std::vector<ReleaseResult>& results);
 
   /// Drop the member's parked requests in `group` (no grants touched).
   ReleaseResult cancel(MemberId member, GroupId group);

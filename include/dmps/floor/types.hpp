@@ -53,16 +53,6 @@ struct FloorRequest {
   media::QosRequirement qos;
 };
 
-/// One coalesced, shard-scoped release: drop everything `member` holds in
-/// `group` on `host`. These are release_on-shaped on purpose — the caller
-/// names the shard, so a release batch can be pipelined behind the request
-/// batch that granted there (per-shard FIFO) without awaiting decisions.
-struct HostRelease {
-  HostId host;
-  MemberId member;
-  GroupId group;
-};
-
 enum class Outcome {
   kGranted,
   kGrantedDegraded,
@@ -129,20 +119,5 @@ class FloorControl {
   /// Release everything `member` holds in `group`, wherever it was granted.
   virtual ReleaseResult release(MemberId member, GroupId group) = 0;
 };
-
-/// Fold one shard's release result into an accumulated one — the single
-/// merge rule every sharded facade (sequential or parallel) must share, so
-/// a new ReleaseResult field cannot be dropped by one facade and kept by
-/// the other.
-inline void merge_release_results(ReleaseResult& into, ReleaseResult&& from) {
-  into.released |= from.released;
-  into.resumed.insert(into.resumed.end(), from.resumed.begin(),
-                      from.resumed.end());
-  into.promoted.insert(into.promoted.end(),
-                       std::make_move_iterator(from.promoted.begin()),
-                       std::make_move_iterator(from.promoted.end()));
-  into.dequeued.insert(into.dequeued.end(), from.dequeued.begin(),
-                       from.dequeued.end());
-}
 
 }  // namespace dmps::floorctl

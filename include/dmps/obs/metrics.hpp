@@ -2,14 +2,14 @@
 // dmps::obs metric instruments: Counter, Gauge, Histogram.
 //
 // Design constraints (DESIGN.md §7): the instrumented hot path — the
-// parallel floor workers inside their alloc-probed drain loop — must stay
-// steady-state allocation-free and nearly contention-free. So every
-// instrument here is a fixed-size block of atomics:
+// floor decide path inside the alloc-probed million sweep, the daemon's
+// datagram loop — must stay steady-state allocation-free and nearly
+// contention-free. So every instrument here is a fixed-size block of
+// atomics:
 //
 //   Counter / Gauge — 16 cache-line-padded int64 cells, striped by a
 //     per-thread lane id, written with one relaxed fetch_add. value() sums
-//     the stripes (quiescent- or approximate-read semantics, like every
-//     aggregate in the parallel service).
+//     the stripes (quiescent- or approximate-read semantics).
 //   Histogram — 32 power-of-two buckets plus sum and count, all relaxed
 //     atomics. Exact under concurrency (fetch_add loses nothing); callers
 //     that need to bound the per-op cost sample before recording (the
@@ -17,8 +17,8 @@
 //
 // Instruments never allocate after construction and are neither copyable
 // nor movable — a MetricsRegistry owns them at stable addresses and hands
-// out references. Pre-register everything before spawning workers; the
-// hot loop then only ever touches preallocated atomics.
+// out references. Pre-register everything during setup; the hot loop
+// then only ever touches preallocated atomics.
 
 #include <array>
 #include <atomic>
@@ -71,7 +71,7 @@ class Counter {
 
 /// A level that moves both ways through deltas (queue depth, in-flight
 /// count). Absolute levels that live in component state (GrantStore
-/// occupancy, mailbox size) are better served by a registry callback gauge
+/// occupancy, queue length) are better served by a registry callback gauge
 /// — see MetricsRegistry::gauge_callback — read at snapshot time instead
 /// of being pushed on every transition.
 class Gauge {

@@ -9,11 +9,11 @@
 // several components can share one logical counter by agreeing on its
 // name. Callback gauges register a std::function read at snapshot time —
 // the pull-style instrument for levels that already live in component
-// state (GrantStore occupancy, mailbox depth, network totals), costing the
+// state (GrantStore occupancy, queue depth, network totals), costing the
 // hot path nothing.
 //
 // The pre-registration rule (DESIGN.md §7): register every instrument
-// before spawning workers, then freeze(). A frozen registry refuses new
+// during setup, then freeze(). A frozen registry refuses new
 // registrations with std::logic_error — catching the "first increment
 // allocates inside the alloc-probed hot loop" bug at the source. Lookups
 // and increments are always allowed.
@@ -98,8 +98,8 @@ class MetricsRegistry {
   std::vector<CallbackGauge> callbacks_ DMPS_GUARDED_BY(mu_);
 };
 
-/// The floor-control layer's instruments (FloorService and both sharded
-/// facades write these). One pack per registry; names are stable API — the
+/// The floor-control layer's instruments (FloorService and the sharded
+/// facade write these). One pack per registry; names are stable API — the
 /// session stats migration and the bench JSON read them back by name.
 struct FloorInstruments {
   Counter& requests;           // floor.requests
@@ -117,7 +117,6 @@ struct FloorInstruments {
   Counter& routes_recorded;    // floor.routes_recorded
   Counter& route_fanout;       // floor.route_fanout (shards per release)
   Histogram& decide_latency_ns;  // floor.decide_latency_ns (1-in-64 sampled)
-  Histogram& mailbox_drain;      // floor.mailbox_drain (ops per pop_all)
 
   explicit FloorInstruments(MetricsRegistry& registry);
   static FloorInstruments& global();

@@ -6,8 +6,8 @@
 // call alloc_probe_bump() (bench_fcm_arbitrate does, outside sanitizer
 // builds, where replacing operator new would fight the sanitizer's own
 // interceptors); everywhere else the counter just stays at zero. This lets
-// the million-station sweep assert "zero steady-state allocations on the
-// worker hot loop" with an actual counter instead of a code-review promise,
+// the million-station sweep assert "zero steady-state allocations in the
+// warm pass" with an actual counter instead of a code-review promise,
 // while costing production consumers nothing.
 
 #include <cstdint>

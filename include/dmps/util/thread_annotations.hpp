@@ -2,7 +2,7 @@
 // Clang thread-safety analysis macros (DESIGN.md §10).
 //
 // These wrap clang's capability attributes so the locking contracts the
-// floor stack states in comments ("guarded by mu_", "worker thread only",
+// floor stack states in comments ("guarded by mu_", "loop thread only",
 // "setup phase only") become compile-time checkable: the clang CI leg
 // builds with -Wthread-safety -Werror, so touching a guarded field without
 // its lock is a build break, not a TSan roll of the dice. Under gcc (and

@@ -44,7 +44,7 @@ std::optional<GrantStore::HostView> GrantStore::view(HostId host) {
 }
 
 // dmps-lint: hot-begin(grant-store-mutate) — every grant mutation path
-// below runs inside the worker drain's alloc-probe bracket: slot reuse,
+// below runs inside the million sweep's alloc-probe bracket: slot reuse,
 // kept-empty index nodes and pooled map nodes keep it off the heap.
 std::size_t GrantStore::alloc_slot(Grant grant) {
   if (!free_slots_.empty()) {

@@ -14,7 +14,7 @@ FloorService::FloorService(const GroupRegistry& registry, clk::Clock& clock,
       chaired_three_regime_(three_regime_),
       chaired_queueing_(queueing_),
       // Resolved at construction (setup phase) so the global pack's lazy
-      // registration can never fire inside an alloc-probed worker loop.
+      // registration can never fire inside an alloc-probed hot loop.
       obs_(&obs::FloorInstruments::global()) {}
 
 void FloorService::add_host(HostId host, resource::Resource capacity) {

@@ -1,9 +1,26 @@
 #include "floor/sharded_service.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace dmps::floorctl {
+
+namespace {
+
+/// Fold one shard's release result into the fan-out's accumulated one.
+void merge_release_results(ReleaseResult& into, ReleaseResult&& from) {
+  into.released |= from.released;
+  into.resumed.insert(into.resumed.end(), from.resumed.begin(),
+                      from.resumed.end());
+  into.promoted.insert(into.promoted.end(),
+                       std::make_move_iterator(from.promoted.begin()),
+                       std::make_move_iterator(from.promoted.end()));
+  into.dequeued.insert(into.dequeued.end(), from.dequeued.begin(),
+                       from.dequeued.end());
+}
+
+}  // namespace
 
 ShardedFloorService::ShardedFloorService(const GroupRegistry& registry,
                                          clk::Clock& clock,
@@ -69,18 +86,6 @@ Decision ShardedFloorService::request(const FloorRequest& request) {
   return decision;
 }
 
-void ShardedFloorService::request_batch(
-    const std::vector<FloorRequest>& requests,
-    std::vector<Decision>& decisions) {
-  // resize without clear: recycled slots are overwritten whole below, and
-  // skipping the per-slot destroy/construct churn is much of the batch
-  // shape's sequential win.
-  decisions.resize(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    decisions[i] = request(requests[i]);
-  }
-}
-
 ReleaseResult ShardedFloorService::release(MemberId member, GroupId group) {
   ReleaseResult result;
   const auto route = routes_.find(holder_key(member, group));
@@ -96,33 +101,6 @@ ReleaseResult ShardedFloorService::release(MemberId member, GroupId group) {
   }
   route->second.clear();
   return result;
-}
-
-ReleaseResult ShardedFloorService::release_on(HostId host, MemberId member,
-                                              GroupId group) {
-  FloorService* owner = shard(host);
-  if (owner == nullptr) return ReleaseResult{};
-  ReleaseResult result = owner->release(member, group);
-  const auto route = routes_.find(holder_key(member, group));
-  if (route != routes_.end()) {
-    auto& hosts = route->second;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      if (hosts[i] != host) hosts[keep++] = hosts[i];
-    }
-    while (hosts.size() > keep) hosts.pop_back();
-  }
-  return result;
-}
-
-void ShardedFloorService::release_batch(
-    const std::vector<HostRelease>& releases,
-    std::vector<ReleaseResult>& results) {
-  results.resize(releases.size());  // slots overwritten whole, like requests
-  for (std::size_t i = 0; i < releases.size(); ++i) {
-    results[i] = release_on(releases[i].host, releases[i].member,
-                            releases[i].group);
-  }
 }
 
 ReleaseResult ShardedFloorService::cancel(MemberId member, GroupId group) {

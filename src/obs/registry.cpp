@@ -172,8 +172,7 @@ FloorInstruments::FloorInstruments(MetricsRegistry& registry)
       sweep_passes(registry.counter("floor.sweep_passes")),
       routes_recorded(registry.counter("floor.routes_recorded")),
       route_fanout(registry.counter("floor.route_fanout")),
-      decide_latency_ns(registry.histogram("floor.decide_latency_ns")),
-      mailbox_drain(registry.histogram("floor.mailbox_drain")) {}
+      decide_latency_ns(registry.histogram("floor.decide_latency_ns")) {}
 
 FloorInstruments& FloorInstruments::global() {
   static FloorInstruments instruments(MetricsRegistry::global());

@@ -21,8 +21,6 @@ std::string_view to_string(Ev kind) {
     case Ev::kRetransmit: return "retransmit";
     case Ev::kDupDrop: return "dup_drop";
     case Ev::kReplayHit: return "replay_hit";
-    case Ev::kMailboxEnqueue: return "mailbox_enqueue";
-    case Ev::kMailboxDrain: return "mailbox_drain";
     case Ev::kCount: break;
   }
   return "unknown";
@@ -131,17 +129,12 @@ void FingerprintAccumulator::fold(const TraceEvent& ev) {
   insert(station_key(ev), event_hash(ev));
 }
 
-void FingerprintAccumulator::collect(
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const {
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (occupied_[i]) out.emplace_back(keys_[i], sums_[i]);
-  }
-}
-
 std::uint64_t FingerprintAccumulator::fingerprint() const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
   entries.reserve(used_);
-  collect(entries);
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (occupied_[i]) entries.emplace_back(keys_[i], sums_[i]);
+  }
   return combine_fingerprint(std::move(entries));
 }
 
@@ -176,79 +169,18 @@ void Tracer::clear() {
   fp_.clear();
 }
 
-namespace {
-
-void write_chrome_events(std::ostream& out, const TraceRing& ring,
-                         bool& first) {
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const TraceEvent& ev = ring.at(i);
-    if (!first) out << ",\n";
-    first = false;
+void Tracer::write_chrome_trace(std::ostream& out) const {
+  writer_.assert_held();
+  out << "{\"traceEvents\":[\n";
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    const TraceEvent& ev = ring_.at(i);
+    if (i != 0) out << ",\n";
     out << R"({"name":")" << to_string(ev.kind)
         << R"(","ph":"i","s":"t","ts":)" << ev.ts_us << R"(,"pid":)" << ev.shard
         << R"(,"tid":)" << ev.actor << R"(,"args":{"arg":)"
         << static_cast<unsigned>(ev.arg) << R"(,"value":)" << ev.value << "}}";
   }
-}
-
-}  // namespace
-
-void Tracer::write_chrome_trace(std::ostream& out) const {
-  writer_.assert_held();
-  out << "{\"traceEvents\":[\n";
-  bool first = true;
-  write_chrome_events(out, ring_, first);
   out << "\n]}\n";
-}
-
-// ---------------------------------------------------------------- TraceHub
-
-TraceHub::TraceHub(std::size_t tracers, std::size_t ring_capacity) {
-  tracers_.reserve(tracers == 0 ? 1 : tracers);
-  for (std::size_t i = 0; i < (tracers == 0 ? 1 : tracers); ++i) {
-    tracers_.emplace_back(ring_capacity);
-  }
-}
-
-void TraceHub::set_time_source(const std::function<std::int64_t()>& now_us) {
-  for (Tracer& t : tracers_) t.set_time_source(now_us);
-}
-
-std::uint64_t TraceHub::fingerprint() const {
-  // Merge per-key sums across tracers first: a (shard, actor) key split
-  // across rings must fold into ONE commutative sum before the canonical
-  // combine, or the tracer partitioning would leak into the fingerprint.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-  for (const Tracer& t : tracers_) t.collect_fingerprint(entries);
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> merged;
-  merged.reserve(entries.size());
-  for (const auto& [key, sum] : entries) {
-    if (!merged.empty() && merged.back().first == key) {
-      merged.back().second += sum;
-    } else {
-      merged.emplace_back(key, sum);
-    }
-  }
-  return combine_fingerprint(std::move(merged));
-}
-
-std::uint64_t TraceHub::dropped() const {
-  std::uint64_t total = 0;
-  for (const Tracer& t : tracers_) total += t.dropped();
-  return total;
-}
-
-void TraceHub::write_chrome_trace(std::ostream& out) const {
-  out << "{\"traceEvents\":[\n";
-  bool first = true;
-  for (const Tracer& t : tracers_) write_chrome_events(out, t.ring(), first);
-  out << "\n]}\n";
-}
-
-void TraceHub::clear() {
-  for (Tracer& t : tracers_) t.clear();
 }
 
 }  // namespace dmps::obs

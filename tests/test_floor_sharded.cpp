@@ -71,6 +71,14 @@ TEST_F(ShardedFixture, HostsArbitrateIndependently) {
   const auto on_b = service.request(req(b1, hostB, 0.3));
   EXPECT_EQ(on_b.outcome, Outcome::kGranted);  // unaffected shard
   EXPECT_TRUE(on_b.suspended.empty());
+
+  // The senior's release comes back through the router with the shard's
+  // Media-Resume in it, and no suspended grant is left behind.
+  const auto rel = service.release(a2, group);
+  EXPECT_TRUE(rel.released);
+  EXPECT_EQ(rel.resumed, (std::vector<Holder>{{a1, group}}));
+  EXPECT_EQ(service.suspended_grants(), 0u);
+  EXPECT_EQ(service.active_grants(), 2u);  // a1 on A, b1 on B
 }
 
 TEST_F(ShardedFixture, ReleaseRoutesToTheShardsTheMemberUsed) {

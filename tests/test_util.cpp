@@ -1,16 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <thread>
 #include <utility>
 #include <unordered_map>
 #include <vector>
 
 #include "util/duration.hpp"
 #include "util/ids.hpp"
-#include "util/mpsc_mailbox.hpp"
 #include "util/rng.hpp"
 #include "util/small_vec.hpp"
 
@@ -85,7 +81,6 @@ TEST(Rng, DeterministicAndInRange) {
   }
 }
 
-using dmps::util::MpscMailbox;
 using dmps::util::SmallVec;
 
 TEST(SmallVec, StaysInlineUpToCapacityThenSpills) {
@@ -129,260 +124,6 @@ TEST(SmallVec, AtBoundsChecksAndClearKeepsStorage) {
   v.clear();
   EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.capacity(), cap);
-}
-
-TEST(MpscMailbox, FifoOrderAndCloseSemantics) {
-  MpscMailbox<int> box(8);
-  EXPECT_TRUE(box.push(1));
-  EXPECT_TRUE(box.push(2));
-  EXPECT_TRUE(box.try_push(3));
-  EXPECT_EQ(box.size(), 3u);
-  box.close();
-  EXPECT_FALSE(box.push(4));      // closed to producers...
-  EXPECT_FALSE(box.try_push(4));
-  EXPECT_EQ(box.pop(), 1);        // ...but the consumer drains what landed
-  box.mark_done();
-  EXPECT_EQ(box.pop(), 2);
-  box.mark_done();
-  EXPECT_EQ(box.pop(), 3);
-  box.mark_done();
-  EXPECT_EQ(box.pop(), std::nullopt);  // closed and drained
-  box.wait_idle();                     // trivially idle, must not hang
-}
-
-TEST(MpscMailbox, BoundBlocksProducersUntilConsumed) {
-  MpscMailbox<int> box(2);
-  EXPECT_TRUE(box.push(1));
-  EXPECT_TRUE(box.push(2));
-  EXPECT_FALSE(box.try_push(3));  // full
-
-  std::atomic<bool> third_landed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(box.push(3));  // blocks until the consumer pops
-    third_landed.store(true);
-  });
-  EXPECT_EQ(box.pop(), 1);
-  box.mark_done();
-  producer.join();
-  EXPECT_TRUE(third_landed.load());
-  EXPECT_EQ(box.pop(), 2);
-  box.mark_done();
-  EXPECT_EQ(box.pop(), 3);
-  box.mark_done();
-  box.wait_idle();
-}
-
-TEST(MpscMailbox, ManyProducersOneConsumerKeepsEveryItem) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 500;
-  MpscMailbox<std::pair<int, int>> box(16);
-
-  std::thread consumer;
-  std::vector<std::vector<int>> seen(kProducers);
-  consumer = std::thread([&] {
-    while (auto item = box.pop()) {
-      seen[static_cast<std::size_t>(item->first)].push_back(item->second);
-      box.mark_done();
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) EXPECT_TRUE(box.push({p, i}));
-    });
-  }
-  for (std::thread& producer : producers) producer.join();
-  box.wait_idle();
-  box.close();
-  consumer.join();
-
-  // Nothing lost, and each producer's items arrived in its own push order.
-  for (int p = 0; p < kProducers; ++p) {
-    ASSERT_EQ(seen[static_cast<std::size_t>(p)].size(),
-              static_cast<std::size_t>(kPerProducer));
-    for (int i = 0; i < kPerProducer; ++i) {
-      EXPECT_EQ(seen[static_cast<std::size_t>(p)][static_cast<std::size_t>(i)], i);
-    }
-  }
-}
-
-TEST(MpscMailbox, PushAllPopAllKeepFifoWithTheItemInterface) {
-  MpscMailbox<int> box(8);
-  int bulk[3] = {1, 2, 3};
-  EXPECT_EQ(box.push_all(bulk, 3), 3u);
-  EXPECT_TRUE(box.push(4));  // mixing interfaces must not reorder
-  int more[2] = {5, 6};
-  EXPECT_EQ(box.push_all(more, 2), 2u);
-
-  std::vector<int> out;
-  out.reserve(box.capacity());
-  EXPECT_EQ(box.pop_all(out), 6u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5, 6}));
-  box.mark_done(6);
-  box.wait_idle();  // all drained AND marked done: must not hang
-
-  box.close();
-  EXPECT_EQ(box.pop_all(out), 0u);  // closed and drained
-  EXPECT_EQ(out.size(), 6u);        // 0 appended nothing
-}
-
-TEST(MpscMailbox, PushAllSplitsAcrossEpisodesWhenBatchExceedsCapacity) {
-  MpscMailbox<int> box(4);
-  std::vector<int> items(10);
-  for (int i = 0; i < 10; ++i) items[static_cast<std::size_t>(i)] = i;
-
-  std::thread producer([&] {
-    // Larger than capacity: push_all must block between episodes, not
-    // truncate — every item lands.
-    EXPECT_EQ(box.push_all(items.data(), items.size()), 10u);
-  });
-  std::vector<int> seen;
-  std::vector<int> buffer;
-  buffer.reserve(box.capacity());
-  while (seen.size() < 10) {
-    buffer.clear();
-    const std::size_t n = box.pop_all(buffer);
-    ASSERT_GT(n, 0u);
-    seen.insert(seen.end(), buffer.begin(), buffer.end());
-    box.mark_done(n);
-  }
-  producer.join();
-  box.wait_idle();
-  EXPECT_EQ(seen, items);  // single producer: order holds across episodes
-}
-
-TEST(MpscMailbox, PushAllOnClosedAcceptsNothingAndLeavesItemsIntact) {
-  MpscMailbox<std::vector<int>> box(4);
-  std::vector<std::vector<int>> items;
-  for (int i = 0; i < 4; ++i) items.push_back({i, i, i});
-
-  EXPECT_EQ(box.push_all(items.data(), 2), 2u);
-  box.close();
-  // The unaccepted tail must be left untouched so the producer can refuse
-  // each op individually instead of losing it.
-  EXPECT_EQ(box.push_all(items.data() + 2, 2), 0u);
-  EXPECT_EQ(items[2], (std::vector<int>{2, 2, 2}));
-  EXPECT_EQ(items[3], (std::vector<int>{3, 3, 3}));
-
-  std::vector<std::vector<int>> out;
-  EXPECT_EQ(box.pop_all(out), 2u);  // what landed before close still drains
-  box.mark_done(2);
-  EXPECT_EQ(box.pop_all(out), 0u);
-  box.wait_idle();
-}
-
-TEST(MpscMailbox, WaitIdleBlocksUntilBulkDrainIsMarkedDone) {
-  MpscMailbox<int> box(8);
-  int bulk[3] = {7, 8, 9};
-  ASSERT_EQ(box.push_all(bulk, 3), 3u);
-  std::vector<int> out;
-  ASSERT_EQ(box.pop_all(out), 3u);
-
-  // Dequeued but not processed: wait_idle must NOT return yet.
-  std::atomic<bool> idle{false};
-  std::thread waiter([&] {
-    box.wait_idle();
-    idle.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(idle.load());
-
-  box.mark_done(2);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(idle.load());  // one item still in flight
-
-  box.mark_done(1);
-  waiter.join();
-  EXPECT_TRUE(idle.load());
-}
-
-TEST(MpscMailbox, BulkProducersKeepPerProducerOrderThroughPopAll) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 490;
-  constexpr int kChunk = 7;  // deliberately co-prime with the capacity
-  MpscMailbox<std::pair<int, int>> box(16);
-
-  std::vector<std::vector<int>> seen(kProducers);
-  std::thread consumer([&] {
-    std::vector<std::pair<int, int>> buffer;
-    buffer.reserve(box.capacity());
-    while (true) {
-      buffer.clear();
-      const std::size_t n = box.pop_all(buffer);
-      if (n == 0) break;
-      for (const auto& [p, i] : buffer) {
-        seen[static_cast<std::size_t>(p)].push_back(i);
-      }
-      box.mark_done(n);
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::vector<std::pair<int, int>> chunk(kChunk);
-      for (int base = 0; base < kPerProducer; base += kChunk) {
-        for (int i = 0; i < kChunk; ++i) {
-          chunk[static_cast<std::size_t>(i)] = {p, base + i};
-        }
-        EXPECT_EQ(box.push_all(chunk.data(), chunk.size()),
-                  static_cast<std::size_t>(kChunk));
-      }
-    });
-  }
-  for (std::thread& producer : producers) producer.join();
-  box.wait_idle();
-  box.close();
-  consumer.join();
-
-  // Nothing lost, and each producer's items arrived in its own push order
-  // even where a chunk was split across blocking episodes.
-  for (int p = 0; p < kProducers; ++p) {
-    ASSERT_EQ(seen[static_cast<std::size_t>(p)].size(),
-              static_cast<std::size_t>(kPerProducer));
-    for (int i = 0; i < kPerProducer; ++i) {
-      EXPECT_EQ(seen[static_cast<std::size_t>(p)][static_cast<std::size_t>(i)], i);
-    }
-  }
-}
-
-// The documented happens-before edge of wait_idle(): everything the
-// consumer wrote while processing (here: plain, unsynchronized ints)
-// must be readable after wait_idle() returns, because the wait and the
-// consumer's mark_done() go through the same mutex. TSan turns any hole
-// in that edge into a CI failure; this is the regression pin for the
-// mailbox's annotated-lock rewrite (DESIGN.md §10).
-TEST(MpscMailbox, WaitIdleHappensAfterConsumerWrites) {
-  constexpr int kItems = 2000;
-  MpscMailbox<int> box(32);
-
-  // Deliberately NOT atomic: only the wait_idle() edge orders these.
-  std::vector<int> processed;
-  long long sum = 0;
-  std::thread consumer([&] {
-    std::vector<int> buffer;
-    buffer.reserve(box.capacity());
-    while (true) {
-      buffer.clear();
-      const std::size_t n = box.pop_all(buffer);
-      if (n == 0) break;
-      for (int v : buffer) {
-        processed.push_back(v);
-        sum += v;
-      }
-      box.mark_done(n);
-    }
-  });
-
-  for (int i = 1; i <= kItems; ++i) {
-    ASSERT_TRUE(box.push(int{i}));
-  }
-  box.wait_idle();
-  // Consumer-owned state, read without any other synchronization.
-  EXPECT_EQ(processed.size(), static_cast<std::size_t>(kItems));
-  EXPECT_EQ(sum, static_cast<long long>(kItems) * (kItems + 1) / 2);
-
-  box.close();
-  consumer.join();
 }
 
 }  // namespace
