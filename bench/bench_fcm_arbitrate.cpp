@@ -390,7 +390,7 @@ void million_member_scenario(const std::string& trace_out) {
   sim::Simulator sim;
   clk::TrueClock clock{sim};
   GroupRegistry registry;
-  // Metrics and tracing stay ON during the alloc-probed warm pass: striped
+  // Metrics and tracing stay ON during the alloc-probed warm pass: relaxed
   // atomics, a preallocated ring, and a fingerprint table whose keys all
   // exist after pass 1 — so pass 2 proves observability itself is
   // allocation-free, not just tolerated. Actor ids are bucketed to 12 bits
@@ -462,8 +462,8 @@ void million_member_scenario(const std::string& trace_out) {
                  granted, other, released, expected);
     std::abort();
   }
-  // Double-entry bookkeeping: the registry's striped counters must merge
-  // to exactly what the sweep counted (both passes, request + release).
+  // The registry's counters must equal exactly what the sweep counted
+  // (both passes, request + release).
   if (metrics.value("floor.requests") != expected ||
       metrics.value("floor.granted") != expected ||
       metrics.value("floor.releases") != expected) {

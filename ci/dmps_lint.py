@@ -7,7 +7,7 @@ Four checks, each enforcing a rule DESIGN.md states in prose (§10):
                declared in DESIGN.md's ```dmps-layers fenced block. An
                upward or sideways #include is an architecture break even
                when it compiles.
-  obs-register Instrument creation (MetricsRegistry::counter/gauge/
+  obs-register Instrument creation (MetricsRegistry::counter/
                histogram/gauge_callback find-or-create calls, and
                FloorInstruments/WireInstruments pack construction) is
                only legal inside `// dmps-lint: obs-register-begin` ..
@@ -187,7 +187,7 @@ def check_layers(root, violations, config_errors):
 
 
 OBS_CALL_RE = re.compile(
-    r"[.\w>]\s*\.\s*(counter|gauge|histogram|gauge_callback)\s*\(")
+    r"[.\w>]\s*\.\s*(counter|histogram|gauge_callback)\s*\(")
 OBS_PACK_RE = re.compile(r"\b(FloorInstruments|WireInstruments)\s+\w+\s*[({]")
 
 

@@ -124,11 +124,8 @@ class FloorAgent {
            state_ == AgentState::kGranted || state_ == AgentState::kSuspended;
   }
 
-  /// Every fproto datagram this agent put on the wire (ops, retries, acks).
-  std::uint64_t messages_sent() const { return sends_; }
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
-  std::uint64_t acks_sent() const { return acks_sent_; }
+  // Event counts (sends, retransmits, duplicate drops, acks) live only in
+  // the configured WireInstruments pack (wire.agent.*).
 
  private:
   void begin_op(AgentState next, MsgKind kind, net::Payload ints);
@@ -137,7 +134,7 @@ class FloorAgent {
   /// The backed-off delay before the next resend, given the transmissions
   /// already made (tries_).
   util::Duration retry_delay() const;
-  /// One duplicate suppressed: member counter, instrument pack, trace.
+  /// One duplicate suppressed: instrument pack, trace.
   void drop_duplicate();
   /// One server-driven notification acked (an ack is also a send).
   void send_ack(MsgKind kind, net::Payload ints);
@@ -172,11 +169,6 @@ class FloorAgent {
   net::Payload outbound_ints_;
   int tries_ = 0;
   transport::TimerId retry_timer_ = 0;
-
-  std::uint64_t sends_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t duplicates_suppressed_ = 0;
-  std::uint64_t acks_sent_ = 0;
 
   obs::WireInstruments* wire_;  // resolved once at construction
   obs::Tracer* tracer_;

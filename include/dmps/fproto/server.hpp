@@ -35,6 +35,17 @@
 // floor, and those requests are refused. (This was never supported: before
 // aging, the forever-kept record would instead replay a stale Grant for a
 // long-released floor, which is strictly worse.)
+//
+// Decided records are keyed by the raw request id, so a Request or Release
+// whose id's member half (id >> 32) is not its member lane is dropped
+// unanswered before any state is touched (wire.server.drop_invalid) —
+// otherwise one forged datagram could file a decision for member B under
+// member A's next id.
+// A member's home station is bound by its Join (or bind_station(), or its
+// first Request when nothing is bound yet); a Request from any other
+// address is answered to its sender but never rebinds the station
+// (wire.server.station_mismatch), so no sender can redirect a holder's
+// Suspend/Resume.
 
 #include <cstdint>
 #include <deque>
@@ -69,24 +80,15 @@ class FloorServer {
   FloorServer(const FloorServer&) = delete;
   FloorServer& operator=(const FloorServer&) = delete;
 
-  /// Pre-bind a member's home station (otherwise learned from its first
-  /// Join/Request — notifications need a destination).
+  /// Pre-bind a member's home station (otherwise bound by its Join, or by
+  /// its first Request when none is bound yet — notifications need a
+  /// destination). A later Request from another address never rebinds it.
   void bind_station(floorctl::MemberId member, net::NodeId node);
 
-  /// Every fproto datagram this server put on the wire (replies, acks,
-  /// notifications and their retransmissions).
-  std::uint64_t messages_sent() const { return sends_; }
-  std::uint64_t requests_arbitrated() const { return arbitrated_; }
-  std::uint64_t duplicate_requests() const { return duplicate_requests_; }
-  std::uint64_t duplicate_releases() const { return duplicate_releases_; }
-  std::uint64_t grants_sent() const { return grants_sent_; }
-  std::uint64_t denies_sent() const { return denies_sent_; }
-  std::uint64_t queued_sent() const { return queued_sent_; }
-  std::uint64_t promotions_sent() const { return promotions_sent_; }
-  std::uint64_t suspends_sent() const { return suspends_sent_; }
-  std::uint64_t resumes_sent() const { return resumes_sent_; }
-  std::uint64_t notify_retransmits() const { return notify_retransmits_; }
-  std::uint64_t notifies_abandoned() const { return notifies_abandoned_; }
+  // Event counts live only in the configured WireInstruments pack
+  // (wire.server.*); the two accessors below report state sizes.
+
+  /// Suspend/Resume notifications still awaiting their ack.
   std::size_t notifies_pending() const { return pending_notifies_.size(); }
   /// Live decided-request records (aged out as members move on; bounded by
   /// member count, not request volume).
@@ -115,8 +117,10 @@ class FloorServer {
 
   void release_holder(floorctl::MemberId member, floorctl::GroupId group);
   void send_suspends(const std::vector<floorctl::Holder>& suspended);
-  /// One datagram on the wire: member counter, instrument pack, send.
+  /// One datagram on the wire: instrument pack, send.
   void transmit(net::NodeId node, net::MsgType type, const net::Payload& ints);
+  /// A server-bound datagram refused without a reply or state change.
+  void drop_invalid();
   /// A duplicate answered from stored state (request replay, release
   /// re-ack): the idempotency machinery's hit counter.
   void replay_hit(floorctl::MemberId member, floorctl::HostId host);
@@ -146,19 +150,6 @@ class FloorServer {
   };
   std::unordered_map<std::uint64_t, Notify> pending_notifies_;  // by notify id
   std::uint64_t next_notify_id_ = 1;
-
-  std::uint64_t sends_ = 0;
-  std::uint64_t arbitrated_ = 0;
-  std::uint64_t duplicate_requests_ = 0;
-  std::uint64_t duplicate_releases_ = 0;
-  std::uint64_t grants_sent_ = 0;
-  std::uint64_t denies_sent_ = 0;
-  std::uint64_t queued_sent_ = 0;
-  std::uint64_t promotions_sent_ = 0;
-  std::uint64_t suspends_sent_ = 0;
-  std::uint64_t resumes_sent_ = 0;
-  std::uint64_t notify_retransmits_ = 0;
-  std::uint64_t notifies_abandoned_ = 0;
 
   obs::WireInstruments* wire_;  // resolved once at construction
   obs::Tracer* tracer_;

@@ -1,19 +1,22 @@
 #pragma once
-// dmps::obs metric instruments: Counter, Gauge, Histogram.
+// dmps::obs metric instruments: Counter, Histogram.
 //
 // Design constraints (DESIGN.md §7): the instrumented hot path — the
 // floor decide path inside the alloc-probed million sweep, the daemon's
-// datagram loop — must stay steady-state allocation-free and nearly
-// contention-free. So every instrument here is a fixed-size block of
-// atomics:
+// datagram loop — must stay steady-state allocation-free. So every
+// instrument here is a fixed-size block of atomics:
 //
-//   Counter / Gauge — 16 cache-line-padded int64 cells, striped by a
-//     per-thread lane id, written with one relaxed fetch_add. value() sums
-//     the stripes (quiescent- or approximate-read semantics).
+//   Counter — one cache-line-aligned int64 cell, written with one relaxed
+//     fetch_add. Exact under concurrent writers (fetch_add loses nothing);
+//     alignment keeps two counters of one pack off a shared line.
 //   Histogram — 32 power-of-two buckets plus sum and count, all relaxed
 //     atomics. Exact under concurrency (fetch_add loses nothing); callers
 //     that need to bound the per-op cost sample before recording (the
 //     FloorService decide path records 1-in-64).
+//
+// Levels (queue depth, occupancy) are not pushed through an instrument:
+// they live in component state and a registry callback gauge reads them
+// at snapshot time (MetricsRegistry::gauge_callback).
 //
 // Instruments never allocate after construction and are neither copyable
 // nor movable — a MetricsRegistry owns them at stable addresses and hands
@@ -27,81 +30,19 @@
 
 namespace dmps::obs {
 
-/// Small dense id for the calling thread (assigned on first use, never
-/// reused within the process). Stripes instrument cells so concurrent
-/// writers from different threads rarely share a cache line.
-std::size_t thread_lane();
-
-namespace detail {
-struct alignas(64) PaddedAtomic {
-  std::atomic<std::int64_t> v{0};
-};
-}  // namespace detail
-
-/// Monotonic event count. add() is one relaxed fetch_add on the calling
-/// thread's stripe; value() sums stripes (exact once writers quiesce).
-class Counter {
+/// Monotonic event count: one relaxed fetch_add per add().
+class alignas(64) Counter {
  public:
-  static constexpr std::size_t kStripes = 16;
-
   Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void add(std::int64_t n = 1) {
-    cells_[thread_lane() & (kStripes - 1)].v.fetch_add(
-        n, std::memory_order_relaxed);
-  }
+  void add(std::int64_t n = 1) { cell_.fetch_add(n, std::memory_order_relaxed); }
 
-  std::int64_t value() const {
-    std::int64_t sum = 0;
-    for (const auto& cell : cells_) {
-      sum += cell.v.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-
-  void reset() {
-    for (auto& cell : cells_) cell.v.store(0, std::memory_order_relaxed);
-  }
+  std::int64_t value() const { return cell_.load(std::memory_order_relaxed); }
 
  private:
-  std::array<detail::PaddedAtomic, kStripes> cells_;
-};
-
-/// A level that moves both ways through deltas (queue depth, in-flight
-/// count). Absolute levels that live in component state (GrantStore
-/// occupancy, queue length) are better served by a registry callback gauge
-/// — see MetricsRegistry::gauge_callback — read at snapshot time instead
-/// of being pushed on every transition.
-class Gauge {
- public:
-  static constexpr std::size_t kStripes = 16;
-
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void add(std::int64_t delta) {
-    cells_[thread_lane() & (kStripes - 1)].v.fetch_add(
-        delta, std::memory_order_relaxed);
-  }
-  void sub(std::int64_t delta) { add(-delta); }
-
-  std::int64_t value() const {
-    std::int64_t sum = 0;
-    for (const auto& cell : cells_) {
-      sum += cell.v.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-
-  void reset() {
-    for (auto& cell : cells_) cell.v.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::array<detail::PaddedAtomic, kStripes> cells_;
+  std::atomic<std::int64_t> cell_{0};
 };
 
 /// Fixed power-of-two-bucket histogram for non-negative integer samples
@@ -137,8 +78,6 @@ class Histogram {
   /// Upper-bound estimate of the q-quantile (q in [0, 1]) from the bucket
   /// edges; 0 when empty.
   std::int64_t quantile(double q) const;
-
-  void reset();
 
   static std::size_t bucket_index(std::int64_t v) {
     if (v <= 0) return 0;

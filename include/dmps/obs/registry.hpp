@@ -45,7 +45,6 @@ class MetricsRegistry {
   /// Find-or-create by name. Throws std::logic_error when frozen and the
   /// name is new.
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
   /// Pull-style gauge: `fn` is invoked at snapshot (write_json / value)
   /// time. Re-registering a name replaces its callback.
@@ -55,7 +54,7 @@ class MetricsRegistry {
   void freeze();
   bool frozen() const;
 
-  /// Current value of a counter, gauge or callback gauge by name; 0 for
+  /// Current value of a counter or callback gauge by name; 0 for
   /// unknown names (snapshot readers must not throw mid-report).
   std::int64_t value(std::string_view name) const;
 
@@ -73,10 +72,6 @@ class MetricsRegistry {
     std::string name;
     Counter instrument;
   };
-  struct NamedGauge {
-    std::string name;
-    Gauge instrument;
-  };
   struct NamedHistogram {
     std::string name;
     Histogram instrument;
@@ -93,7 +88,6 @@ class MetricsRegistry {
   mutable util::Mutex mu_;
   bool frozen_ DMPS_GUARDED_BY(mu_) = false;
   std::deque<NamedCounter> counters_ DMPS_GUARDED_BY(mu_);
-  std::deque<NamedGauge> gauges_ DMPS_GUARDED_BY(mu_);
   std::deque<NamedHistogram> histograms_ DMPS_GUARDED_BY(mu_);
   std::vector<CallbackGauge> callbacks_ DMPS_GUARDED_BY(mu_);
 };
@@ -139,6 +133,15 @@ struct WireInstruments {
   Counter& server_suspends;          // wire.server.suspends
   Counter& server_resumes;           // wire.server.resumes
   Counter& server_notify_retransmits;  // wire.server.notify_retransmits
+  // Suspend/Resume given up after notify_max_tries unacked sends.
+  Counter& server_notifies_abandoned;  // wire.server.notifies_abandoned
+  // Server-bound datagrams refused without a reply or state change: the
+  // payload does not decode, or a Request/Release id's member half is not
+  // its member lane.
+  Counter& server_drop_invalid;      // wire.server.drop_invalid
+  // Requests from an address other than the member's bound station:
+  // answered to their sender, never rebinding the station.
+  Counter& server_station_mismatch;  // wire.server.station_mismatch
   Histogram& grant_latency_us;       // wire.grant_latency_us (request->grant)
 
   // UDP backend (transport/udp.hpp): datagram-level accounting. Malformed

@@ -163,9 +163,6 @@ class Presentation {
   /// (timestamps excluded — identical across runs for a seeded loss-free
   /// scenario, on any compiler).
   std::uint64_t fingerprint() const { return tracer_.fingerprint(); }
-  /// Cross-checks SessionStats counters that are double-entry booked (per-
-  /// object members AND registry instruments): true when every pair agrees.
-  bool counters_consistent() const;
 
  private:
   struct Station;

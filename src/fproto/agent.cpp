@@ -123,7 +123,6 @@ void FloorAgent::begin_op(AgentState next, MsgKind kind,
   outbound_type_ = wire_type(kind);
   outbound_ints_ = std::move(ints);
   tries_ = 1;
-  ++sends_;
   wire_->agent_sends.add();
   if (tracer_ != nullptr) {
     tracer_->emit(obs::Ev::kSend, member_.value(), host_.value(),
@@ -170,8 +169,6 @@ void FloorAgent::retry_tick() {
     return;
   }
   ++tries_;
-  ++retransmits_;
-  ++sends_;
   wire_->agent_sends.add();
   wire_->agent_retransmits.add();
   if (tracer_ != nullptr) {
@@ -182,7 +179,6 @@ void FloorAgent::retry_tick() {
 }
 
 void FloorAgent::drop_duplicate() {
-  ++duplicates_suppressed_;
   wire_->agent_dup_drops.add();
   if (tracer_ != nullptr) {
     tracer_->emit(obs::Ev::kDupDrop, member_.value(), host_.value());
@@ -190,8 +186,6 @@ void FloorAgent::drop_duplicate() {
 }
 
 void FloorAgent::send_ack(MsgKind kind, net::Payload ints) {
-  ++acks_sent_;
-  ++sends_;
   wire_->agent_acks.add();
   wire_->agent_sends.add();
   ep_.send(server_, wire_type(kind), std::move(ints));

@@ -7,9 +7,12 @@ namespace dmps::fproto {
 
 namespace {
 /// Request ids pack (member << 32 | per-member seq); the seq half is what
-/// ages records out.
+/// ages records out, the member half must name the sending member.
 std::uint64_t request_seq(std::uint64_t request_id) {
   return request_id & 0xffffffffull;
+}
+bool id_names_member(std::uint64_t request_id, floorctl::MemberId member) {
+  return (request_id >> 32) == member.value();
 }
 }  // namespace
 
@@ -65,10 +68,11 @@ void FloorServer::bind_station(floorctl::MemberId member, net::NodeId node) {
 
 void FloorServer::transmit(net::NodeId node, net::MsgType type,
                            const net::Payload& ints) {
-  ++sends_;
   wire_->server_sends.add();
   ep_.send(node, type, ints);
 }
+
+void FloorServer::drop_invalid() { wire_->server_drop_invalid.add(); }
 
 void FloorServer::replay_hit(floorctl::MemberId member, floorctl::HostId host) {
   wire_->server_replay_hits.add();
@@ -79,7 +83,7 @@ void FloorServer::replay_hit(floorctl::MemberId member, floorctl::HostId host) {
 
 void FloorServer::handle_join(const net::Message& msg) {
   const auto join = decode_join(msg);
-  if (!join) return;
+  if (!join) return drop_invalid();
   const auto snapshot = registry_.snapshot();  // one load per datagram
   if (!snapshot->has_member(join->member) || !snapshot->has_group(join->group)) {
     return;  // unknown ids: not even a NACK target
@@ -95,7 +99,7 @@ void FloorServer::handle_join(const net::Message& msg) {
 
 void FloorServer::handle_leave(const net::Message& msg) {
   const auto leave = decode_leave(msg);
-  if (!leave) return;
+  if (!leave) return drop_invalid();
   const auto snapshot = registry_.snapshot();  // one load per datagram
   if (!snapshot->has_member(leave->member) ||
       !snapshot->has_group(leave->group)) {
@@ -127,14 +131,21 @@ void FloorServer::age_out_records(floorctl::MemberId member, std::uint64_t seq) 
 
 void FloorServer::handle_request(const net::Message& msg) {
   const auto request = decode_request(msg);
-  if (!request) return;
-  stations_[request->member.value()] = msg.from;
+  if (!request || !id_names_member(request->request_id, request->member)) {
+    return drop_invalid();
+  }
+  // Join binds the home station; a request binds one only when none is.
+  // A request from elsewhere is still answered to its sender below.
+  const auto [station, bound_now] =
+      stations_.try_emplace(request->member.value(), msg.from);
+  if (!bound_now && station->second != msg.from) {
+    wire_->server_station_mismatch.add();
+  }
 
   // Duplicate suppression: an id we already decided is answered from the
   // stored reply — re-arbitrating a retransmission would double-reserve.
   const auto it = decided_.find(request->request_id);
   if (it != decided_.end()) {
-    ++duplicate_requests_;
     replay_hit(request->member, request->host);
     transmit(msg.from, wire_type(it->second.reply_kind), it->second.reply_ints);
     return;
@@ -145,7 +156,6 @@ void FloorServer::handle_request(const net::Message& msg) {
   const auto aged = member_records_.find(request->member.value());
   if (aged != member_records_.end() &&
       request_seq(request->request_id) < aged->second.evicted_below) {
-    ++duplicate_requests_;
     replay_hit(request->member, request->host);
     transmit(msg.from, wire_type(MsgKind::kDeny),
              encode(DenyMsg{request->request_id, floorctl::Outcome::kDenied}));
@@ -160,7 +170,6 @@ void FloorServer::handle_request(const net::Message& msg) {
   fr.host = request->host;
   fr.qos = request->qos;
   const floorctl::Decision decision = service_.request(fr);
-  ++arbitrated_;
   wire_->server_arbitrations.add();
 
   const auto key = floorctl::holder_key(request->member, request->group);
@@ -174,7 +183,6 @@ void FloorServer::handle_request(const net::Message& msg) {
         decision.outcome == floorctl::Outcome::kGrantedDegraded,
         decision.availability_after});
     holder_request_[key] = request->request_id;
-    ++grants_sent_;
     wire_->server_grants.add();
     reply_ev = obs::Ev::kGrant;
   } else if (decision.outcome == floorctl::Outcome::kQueued) {
@@ -183,13 +191,11 @@ void FloorServer::handle_request(const net::Message& msg) {
     // The newest id is the one the client polls with — the promotion Grant
     // must be written for it.
     queued_request_[key] = request->request_id;
-    ++queued_sent_;
     wire_->server_queued.add();
     reply_ev = obs::Ev::kQueue;
   } else {
     record.reply_kind = MsgKind::kDeny;
     record.reply_ints = encode(DenyMsg{request->request_id, decision.outcome});
-    ++denies_sent_;
     wire_->server_denies.add();
     reply_ev = obs::Ev::kDeny;
   }
@@ -218,7 +224,9 @@ void FloorServer::send_suspends(const std::vector<floorctl::Holder>& suspended) 
 
 void FloorServer::handle_release(const net::Message& msg) {
   const auto release = decode_release(msg);
-  if (!release) return;
+  if (!release || !id_names_member(release->request_id, release->member)) {
+    return drop_invalid();
+  }
 
   const auto it = decided_.find(release->request_id);
   if (it == decided_.end() || it->second.reply_kind == MsgKind::kDeny) {
@@ -228,12 +236,10 @@ void FloorServer::handle_release(const net::Message& msg) {
              encode(ReleaseAckMsg{release->request_id}));
     return;
   }
-  if (it->second.released) {
-    // Retransmitted release after a lost ack. Re-acked below, but not a
-    // replay_hit(): wire.server.replay_hits mirrors duplicate_requests()
-    // exactly (the double-entry pair counters_consistent() checks).
-    ++duplicate_releases_;
-  } else {
+  // A retransmitted release after a lost ack is only re-acked, and not
+  // counted as a replay_hit(): wire.server.replay_hits counts request
+  // replays alone.
+  if (!it->second.released) {
     it->second.released = true;
     release_holder(release->member, release->group);
   }
@@ -276,8 +282,6 @@ void FloorServer::release_holder(floorctl::MemberId member,
       record->second.reply_kind = MsgKind::kGrant;
       record->second.reply_ints = reply;
     }
-    ++promotions_sent_;
-    ++grants_sent_;
     wire_->server_promotions.add();
     wire_->server_grants.add();
     if (tracer_ != nullptr) {
@@ -306,7 +310,6 @@ void FloorServer::release_holder(floorctl::MemberId member,
       record->second.reply_kind = MsgKind::kDeny;
       record->second.reply_ints = reply;
     }
-    ++denies_sent_;
     wire_->server_denies.add();
     if (tracer_ != nullptr) {
       // arg=1 marks a dequeue push (the member left; its polls converge).
@@ -331,10 +334,8 @@ void FloorServer::notify(floorctl::MemberId member, MsgKind kind,
                      ? encode(SuspendMsg{notify_id, request_id})
                      : encode(ResumeMsg{notify_id, request_id});
   if (kind == MsgKind::kSuspend) {
-    ++suspends_sent_;
     wire_->server_suspends.add();
   } else {
-    ++resumes_sent_;
     wire_->server_resumes.add();
   }
   transmit(pending.node, wire_type(kind), pending.ints);
@@ -349,12 +350,11 @@ void FloorServer::notify_tick(std::uint64_t notify_id) {
   Notify& pending = it->second;
   pending.retry_timer = 0;
   if (pending.tries >= config_.notify_max_tries) {
-    ++notifies_abandoned_;
+    wire_->server_notifies_abandoned.add();
     pending_notifies_.erase(it);
     return;
   }
   ++pending.tries;
-  ++notify_retransmits_;
   wire_->server_notify_retransmits.add();
   if (tracer_ != nullptr) {
     tracer_->emit(obs::Ev::kRetransmit, 0, 0, 1,
@@ -367,7 +367,7 @@ void FloorServer::notify_tick(std::uint64_t notify_id) {
 
 void FloorServer::handle_suspend_ack(const net::Message& msg) {
   const auto ack = decode_suspend_ack(msg);
-  if (!ack) return;
+  if (!ack) return drop_invalid();
   const auto it = pending_notifies_.find(ack->notify_id);
   if (it == pending_notifies_.end()) return;  // duplicate ack
   if (it->second.retry_timer != 0) ep_.cancel(it->second.retry_timer);
@@ -376,7 +376,7 @@ void FloorServer::handle_suspend_ack(const net::Message& msg) {
 
 void FloorServer::handle_resume_ack(const net::Message& msg) {
   const auto ack = decode_resume_ack(msg);
-  if (!ack) return;
+  if (!ack) return drop_invalid();
   const auto it = pending_notifies_.find(ack->notify_id);
   if (it == pending_notifies_.end()) return;
   if (it->second.retry_timer != 0) ep_.cancel(it->second.retry_timer);

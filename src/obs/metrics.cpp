@@ -2,13 +2,6 @@
 
 namespace dmps::obs {
 
-std::size_t thread_lane() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t lane =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return lane;
-}
-
 std::int64_t Histogram::quantile(double q) const {
   const std::int64_t total = count();
   if (total <= 0) return 0;
@@ -23,12 +16,6 @@ std::int64_t Histogram::quantile(double q) const {
     if (seen >= rank) return bucket_upper_bound(b);
   }
   return bucket_upper_bound(kBuckets - 1);
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace dmps::obs

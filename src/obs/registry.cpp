@@ -31,20 +31,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return counters_.back().instrument;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  util::MutexLock lock(mu_);
-  for (NamedGauge& g : gauges_) {
-    if (g.name == name) return g.instrument;
-  }
-  if (frozen_) {
-    throw std::logic_error("MetricsRegistry frozen: cannot register gauge '" +
-                           name + "'");
-  }
-  gauges_.emplace_back();
-  gauges_.back().name = name;
-  return gauges_.back().instrument;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name) {
   util::MutexLock lock(mu_);
   for (NamedHistogram& h : histograms_) {
@@ -91,9 +77,6 @@ std::int64_t MetricsRegistry::value(std::string_view name) const {
   for (const NamedCounter& c : counters_) {
     if (c.name == name) return c.instrument.value();
   }
-  for (const NamedGauge& g : gauges_) {
-    if (g.name == name) return g.instrument.value();
-  }
   for (const CallbackGauge& cb : callbacks_) {
     if (cb.name == name) return cb.fn ? cb.fn() : 0;
   }
@@ -117,9 +100,6 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     out << "\":" << scalars[i].second;
   }
   scalars.clear();
-  for (const NamedGauge& g : gauges_) {
-    scalars.emplace_back(g.name, g.instrument.value());
-  }
   for (const CallbackGauge& cb : callbacks_) {
     scalars.emplace_back(cb.name, cb.fn ? cb.fn() : 0);
   }
@@ -195,6 +175,11 @@ WireInstruments::WireInstruments(MetricsRegistry& registry)
       server_resumes(registry.counter("wire.server.resumes")),
       server_notify_retransmits(
           registry.counter("wire.server.notify_retransmits")),
+      server_notifies_abandoned(
+          registry.counter("wire.server.notifies_abandoned")),
+      server_drop_invalid(registry.counter("wire.server.drop_invalid")),
+      server_station_mismatch(
+          registry.counter("wire.server.station_mismatch")),
       grant_latency_us(registry.histogram("wire.grant_latency_us")),
       udp_tx_datagrams(registry.counter("wire.udp.tx_datagrams")),
       udp_rx_datagrams(registry.counter("wire.udp.rx_datagrams")),

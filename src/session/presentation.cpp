@@ -303,69 +303,24 @@ SessionStats Presentation::stats() const {
   for (const Endpoint& endpoint : endpoints_) {
     out.notifies_pending += endpoint.server->notifies_pending();
   }
-  if (config_.agent.obs == &wire_obs_ && config_.server.obs == &wire_obs_) {
-    // Single-entry bookkeeping: the wire counters come straight from the
-    // registry instead of re-summing per-agent/per-endpoint members
-    // (counters_consistent() proves the two agree).
-    const auto value = [this](const char* name) {
-      return static_cast<std::uint64_t>(metrics_.value(name));
-    };
-    out.client_retransmits = value("wire.agent.retransmits");
-    out.duplicates_suppressed = value("wire.agent.dup_drops");
-    out.server_arbitrations = value("wire.server.arbitrations");
-    out.server_duplicate_requests = value("wire.server.replay_hits");
-    out.notify_retransmits = value("wire.server.notify_retransmits");
-    out.floor_messages = value("wire.agent.sends") + value("wire.server.sends");
-  } else {
-    // The caller supplied its own packs; fall back to per-object members.
-    for (const auto& station : stations_) {
-      out.client_retransmits += station->agent->retransmits();
-      out.duplicates_suppressed += station->agent->duplicates_suppressed();
-      out.floor_messages += station->agent->messages_sent();
-    }
-    for (const Endpoint& endpoint : endpoints_) {
-      out.floor_messages += endpoint.server->messages_sent();
-      out.server_arbitrations += endpoint.server->requests_arbitrated();
-      out.server_duplicate_requests += endpoint.server->duplicate_requests();
-      out.notify_retransmits += endpoint.server->notify_retransmits();
-    }
-  }
+  // The packs the agents and servers write are the only counters; both
+  // are the session's own unless the caller wired others in.
+  const obs::WireInstruments& agents = *config_.agent.obs;
+  const obs::WireInstruments& servers = *config_.server.obs;
+  const auto count = [](const obs::Counter& counter) {
+    return static_cast<std::uint64_t>(counter.value());
+  };
+  out.client_retransmits = count(agents.agent_retransmits);
+  out.duplicates_suppressed = count(agents.agent_dup_drops);
+  out.server_arbitrations = count(servers.server_arbitrations);
+  out.server_duplicate_requests = count(servers.server_replay_hits);
+  out.notify_retransmits = count(servers.server_notify_retransmits);
+  out.floor_messages =
+      count(agents.agent_sends) + count(servers.server_sends);
   out.messages_sent = network_.sent();
   out.messages_dropped = network_.dropped();
   out.messages_delivered = network_.delivered();
   return out;
-}
-
-bool Presentation::counters_consistent() const {
-  if (config_.agent.obs != &wire_obs_ || config_.server.obs != &wire_obs_) {
-    return true;  // foreign packs: there is no double entry to cross-check
-  }
-  std::uint64_t retransmits = 0, dup_drops = 0, acks = 0, agent_sends = 0;
-  for (const auto& station : stations_) {
-    retransmits += station->agent->retransmits();
-    dup_drops += station->agent->duplicates_suppressed();
-    acks += station->agent->acks_sent();
-    agent_sends += station->agent->messages_sent();
-  }
-  std::uint64_t arbitrated = 0, dup_requests = 0, notify_rtx = 0,
-                server_sends = 0;
-  for (const Endpoint& endpoint : endpoints_) {
-    arbitrated += endpoint.server->requests_arbitrated();
-    dup_requests += endpoint.server->duplicate_requests();
-    notify_rtx += endpoint.server->notify_retransmits();
-    server_sends += endpoint.server->messages_sent();
-  }
-  const auto value = [this](const char* name) {
-    return static_cast<std::uint64_t>(metrics_.value(name));
-  };
-  return value("wire.agent.retransmits") == retransmits &&
-         value("wire.agent.dup_drops") == dup_drops &&
-         value("wire.agent.acks") == acks &&
-         value("wire.agent.sends") == agent_sends &&
-         value("wire.server.arbitrations") == arbitrated &&
-         value("wire.server.replay_hits") == dup_requests &&
-         value("wire.server.notify_retransmits") == notify_rtx &&
-         value("wire.server.sends") == server_sends;
 }
 
 StationSnapshot Presentation::station(int index) const {

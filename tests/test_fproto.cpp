@@ -6,6 +6,7 @@
 #include "fproto/agent.hpp"
 #include "fproto/codec.hpp"
 #include "fproto/server.hpp"
+#include "obs/registry.hpp"
 #include "transport/sim_transport.hpp"
 
 namespace {
@@ -148,8 +149,13 @@ TEST(FprotoCodec, RejectsWrongTypeAndShortPayload) {
 
 // ----------------------------------------------------------- protocol world
 
-/// One server station plus N member stations over one lossy network.
+/// One server station plus N member stations over one lossy network. The
+/// world owns its metrics: the server and every agent write `wire`, so no
+/// count leaks between tests through the process-global pack (and in a
+/// one-station world the wire.agent.* counters are that agent's alone).
 struct ProtoWorld {
+  obs::MetricsRegistry metrics;
+  obs::WireInstruments wire{metrics};  // built before its writers
   sim::Simulator sim;
   net::SimNetwork network;
   net::NodeId server_node;
@@ -178,7 +184,9 @@ struct ProtoWorld {
   explicit ProtoWorld(std::uint64_t seed, double loss,
                       Resource capacity = Resource{1.0, 1.0, 1.0},
                       FcmMode mode = FcmMode::kFreeAccess,
-                      PolicyKind policy = PolicyKind::kThreeRegime)
+                      PolicyKind policy = PolicyKind::kThreeRegime,
+                      fproto::ServerConfig server_config = {Duration::millis(120),
+                                                            200})
       : network(sim, seed,
                 net::LinkQuality{Duration::millis(5), Duration::millis(2), loss}),
         server_node(network.add_node("server")),
@@ -186,7 +194,7 @@ struct ProtoWorld {
         server_transport(server_demux),
         clock(sim),
         service(registry, clock, Thresholds{0.25, 0.05}),
-        server(server_transport, registry, service, {Duration::millis(120), 200}) {
+        server(server_transport, registry, service, with_pack(server_config)) {
     service.add_host(host, capacity);
     chair = registry.add_member("chair", 100, host);
     group = registry.create_group("g", mode, chair, policy);
@@ -214,10 +222,20 @@ struct ProtoWorld {
     events.on_resumed = [&s](std::uint64_t) { ++s.resumed; };
     events.on_released = [&s](std::uint64_t) { ++s.released; };
     events.on_failed = [&s](AgentState) { ++s.failed; };
-    s.agent = std::make_unique<fproto::FloorAgent>(
-        *s.transport, server_node, member, group, host, config, events);
+    s.agent = std::make_unique<fproto::FloorAgent>(*s.transport, server_node,
+                                                   member, group, host,
+                                                   with_pack(config), events);
     return s;
   }
+
+  template <class Config>
+  Config with_pack(Config config) {
+    config.obs = &wire;
+    return config;
+  }
+
+  /// A counter of the world's own registry, by its dotted name.
+  std::int64_t count(const char* name) const { return metrics.value(name); }
 
   void run_for(double seconds) {
     sim.run_until(sim.now() + Duration::from_seconds(seconds));
@@ -246,9 +264,9 @@ TEST(FloorAgent, JoinRequestReleaseOnCleanLink) {
   EXPECT_EQ(s.released, 1);
   EXPECT_EQ(w.service.active_grants(), 0u);
   // Clean link: nothing retransmitted, nothing duplicated.
-  EXPECT_EQ(s.agent->retransmits(), 0u);
-  EXPECT_EQ(w.server.duplicate_requests(), 0u);
-  EXPECT_EQ(w.server.requests_arbitrated(), 1u);
+  EXPECT_EQ(w.count("wire.agent.retransmits"), 0);
+  EXPECT_EQ(w.count("wire.server.replay_hits"), 0);
+  EXPECT_EQ(w.count("wire.server.arbitrations"), 1);
 }
 
 TEST(FloorAgent, RequestRetransmitsUntilGrantedUnderLoss) {
@@ -265,8 +283,8 @@ TEST(FloorAgent, RequestRetransmitsUntilGrantedUnderLoss) {
   w.run_for(20.0);
   EXPECT_EQ(s.agent->state(), AgentState::kGranted);
   EXPECT_EQ(s.granted, 1);  // exactly one grant callback
-  EXPECT_GT(s.agent->retransmits(), 0u);
-  EXPECT_EQ(w.server.requests_arbitrated(), 1u);  // dedup held
+  EXPECT_GT(w.count("wire.agent.retransmits"), 0);
+  EXPECT_EQ(w.count("wire.server.arbitrations"), 1);  // dedup held
   EXPECT_EQ(w.service.active_grants(), 1u);
 
   // And the release leg converges the same way.
@@ -295,7 +313,7 @@ TEST(FloorAgent, DuplicateGrantsAreSuppressed) {
   w.run_for(1.0);
   EXPECT_EQ(s.granted, 1);  // no double start
   EXPECT_EQ(s.agent->state(), AgentState::kGranted);
-  EXPECT_EQ(s.agent->duplicates_suppressed(), 3u);
+  EXPECT_EQ(w.count("wire.agent.dup_drops"), 3);
 }
 
 TEST(FloorServer, RetransmittedRequestIsArbitratedOnce) {
@@ -317,11 +335,11 @@ TEST(FloorServer, RetransmittedRequestIsArbitratedOnce) {
   w.network.send({s.node, w.server_node, wire_type(MsgKind::kRequest),
                   fproto::encode(dup)});
   w.run_for(1.0);
-  EXPECT_EQ(w.server.requests_arbitrated(), 1u);
-  EXPECT_EQ(w.server.duplicate_requests(), 1u);
+  EXPECT_EQ(w.count("wire.server.arbitrations"), 1);
+  EXPECT_EQ(w.count("wire.server.replay_hits"), 1);
   EXPECT_EQ(w.service.active_grants(), 1u);  // not double-reserved
   // The replayed reply reached the agent as a suppressed duplicate.
-  EXPECT_EQ(s.agent->duplicates_suppressed(), 1u);
+  EXPECT_EQ(w.count("wire.agent.dup_drops"), 1);
 }
 
 TEST(FloorServer, SuspendAndResumeNotificationsSurviveLoss) {
@@ -347,14 +365,14 @@ TEST(FloorServer, SuspendAndResumeNotificationsSurviveLoss) {
   EXPECT_EQ(high.agent->state(), AgentState::kGranted);
   EXPECT_EQ(low.agent->state(), AgentState::kSuspended);
   EXPECT_EQ(low.suspended, 1);
-  EXPECT_EQ(w.server.suspends_sent(), 1u);
+  EXPECT_EQ(w.count("wire.server.suspends"), 1);
 
   ASSERT_TRUE(high.agent->release_floor());
   w.run_for(15.0);
   EXPECT_EQ(high.agent->state(), AgentState::kJoined);
   EXPECT_EQ(low.agent->state(), AgentState::kGranted);  // resumed
   EXPECT_EQ(low.resumed, 1);
-  EXPECT_EQ(w.server.resumes_sent(), 1u);
+  EXPECT_EQ(w.count("wire.server.resumes"), 1);
   EXPECT_EQ(w.server.notifies_pending(), 0u);  // every notification acked
 }
 
@@ -444,7 +462,7 @@ TEST(FloorAgent, ExhaustedRetriesFailTheOperation) {
   EXPECT_EQ(s.agent->state(), AgentState::kFailed);
   EXPECT_EQ(s.failed, 1);
   EXPECT_FALSE(s.agent->terminated());  // failed is the visible stuck state
-  EXPECT_EQ(s.agent->retransmits(), 3u);  // max_tries - 1 resends
+  EXPECT_EQ(w.count("wire.agent.retransmits"), 3);  // max_tries - 1 resends
 }
 
 TEST(FloorAgent, LeaveReleasesHeldFloorServerSide) {
@@ -559,7 +577,7 @@ TEST(FloorServer, QueuedRequestIsParkedThenGrantedOnRelease) {
   EXPECT_EQ(b.agent->state(), AgentState::kQueued);
   EXPECT_EQ(b.queued, 1);
   EXPECT_EQ(b.denied, 0);
-  EXPECT_EQ(w.server.queued_sent(), 1u);
+  EXPECT_EQ(w.count("wire.server.queued"), 1);
   EXPECT_EQ(w.service.queued_requests(), 1u);
 
   // a releases: the parked request is promoted and the Grant reaches b.
@@ -567,11 +585,11 @@ TEST(FloorServer, QueuedRequestIsParkedThenGrantedOnRelease) {
   w.run_for(2.0);
   EXPECT_EQ(b.agent->state(), AgentState::kGranted);
   EXPECT_EQ(b.granted, 1);
-  EXPECT_EQ(w.server.promotions_sent(), 1u);
+  EXPECT_EQ(w.count("wire.server.promotions"), 1);
   EXPECT_EQ(w.service.queued_requests(), 0u);
   // The whole exchange took exactly two arbitrations: no client-side retry
   // storm while waiting.
-  EXPECT_EQ(w.server.requests_arbitrated(), 2u);
+  EXPECT_EQ(w.count("wire.server.arbitrations"), 2);
 
   // And the promoted grant releases cleanly.
   ASSERT_TRUE(b.agent->release_floor());
@@ -607,7 +625,7 @@ TEST(FloorServer, PromotionGrantSurvivesLossViaPolling) {
   w.run_for(20.0);
   EXPECT_EQ(b.agent->state(), AgentState::kGranted);
   EXPECT_EQ(b.granted, 1);
-  EXPECT_EQ(w.server.requests_arbitrated(), 2u);
+  EXPECT_EQ(w.count("wire.server.arbitrations"), 2);
   EXPECT_EQ(w.service.active_grants(), 1u);  // exactly b's grant
 }
 
@@ -691,7 +709,7 @@ TEST(FloorServer, DecidedRecordsAgeOutAsTheMemberMovesOn) {
     // At most the current request's record plus the one being superseded.
     EXPECT_LE(w.server.decided_records(), 2u) << "iteration " << i;
   }
-  EXPECT_EQ(w.server.requests_arbitrated(), 50u);
+  EXPECT_EQ(w.count("wire.server.arbitrations"), 50);
 }
 
 TEST(FloorServer, ResurrectedOldRequestIdIsRefusedWithoutArbitration) {
@@ -712,7 +730,7 @@ TEST(FloorServer, ResurrectedOldRequestIdIsRefusedWithoutArbitration) {
   w.run_for(1.0);
   ASSERT_EQ(s.agent->state(), AgentState::kGranted);
   ASSERT_NE(id1, id2);
-  ASSERT_EQ(w.server.requests_arbitrated(), 2u);
+  ASSERT_EQ(w.count("wire.server.arbitrations"), 2);
 
   // Replay the long-evicted first request.
   fproto::RequestMsg dup;
@@ -724,10 +742,123 @@ TEST(FloorServer, ResurrectedOldRequestIdIsRefusedWithoutArbitration) {
   w.network.send({s.node, w.server_node, wire_type(MsgKind::kRequest),
                   fproto::encode(dup)});
   w.run_for(1.0);
-  EXPECT_EQ(w.server.requests_arbitrated(), 2u);  // NOT re-arbitrated
-  EXPECT_EQ(w.server.duplicate_requests(), 1u);
+  EXPECT_EQ(w.count("wire.server.arbitrations"), 2);  // NOT re-arbitrated
+  EXPECT_EQ(w.count("wire.server.replay_hits"), 1);
   EXPECT_EQ(w.service.active_grants(), 1u);  // id2's grant only
   EXPECT_EQ(s.agent->state(), AgentState::kGranted);  // the Deny replay is a dup
+}
+
+// ------------------------------------------------------ untrusted senders
+
+TEST(FloorServer, ForgedRequestIdIsDroppedBeforeArbitration) {
+  // Request ids are member << 32 | seq. A datagram carrying A's first id
+  // but B's member lane must not be arbitrated: filed under A's id, B's
+  // decision would answer A's real first request from the stored reply,
+  // and A would believe it holds a floor that is B's.
+  ProtoWorld w(97, 0.0);
+  auto& a = w.add_station("a", 1);
+  auto& b = w.add_station("b", 1);
+  const net::NodeId forger = w.network.add_node("forger");
+  ASSERT_TRUE(a.agent->join());
+  ASSERT_TRUE(b.agent->join());
+  w.run_for(1.0);
+
+  fproto::RequestMsg forged;
+  forged.request_id =
+      (static_cast<std::uint64_t>(a.agent->member().value()) << 32) | 1;
+  forged.member = b.agent->member();
+  forged.group = w.group;
+  forged.host = w.host;
+  forged.qos = media::QosRequirement{0.4, 0.4, 0.4};
+  w.network.send({forger, w.server_node, wire_type(MsgKind::kRequest),
+                  fproto::encode(forged)});
+  w.run_for(1.0);
+  EXPECT_EQ(w.count("wire.server.drop_invalid"), 1);
+  EXPECT_EQ(w.service.active_grants(), 0u);
+
+  const auto id = a.agent->request_floor(media::QosRequirement{0.4, 0.4, 0.4});
+  ASSERT_EQ(id, forged.request_id);  // the id the forger aimed at
+  w.run_for(1.0);
+  EXPECT_EQ(a.agent->state(), AgentState::kGranted);
+  EXPECT_EQ(w.count("wire.server.arbitrations"), 1);  // A's own request
+  EXPECT_EQ(w.service.active_grants(), 1u);
+  // The one grant is A's: A's release frees it, so B holds nothing.
+  ASSERT_TRUE(a.agent->release_floor());
+  w.run_for(1.0);
+  EXPECT_EQ(w.service.active_grants(), 0u);
+  EXPECT_EQ(w.count("wire.server.drop_invalid"), 1);
+
+  // A payload that does not decode (a NaN QoS lane) is refused the same way.
+  fproto::RequestMsg garbled = forged;
+  garbled.request_id = id + 1;
+  garbled.member = a.agent->member();
+  auto lanes = fproto::encode(garbled);
+  lanes[5] = 0x7FF8'0000'0000'0001;  // a quiet NaN
+  w.network.send({a.node, w.server_node, wire_type(MsgKind::kRequest), lanes});
+  w.run_for(1.0);
+  EXPECT_EQ(w.count("wire.server.drop_invalid"), 2);
+  EXPECT_EQ(w.count("wire.server.arbitrations"), 1);
+}
+
+TEST(FloorServer, RequestFromAnotherAddressCannotRedirectNotifications) {
+  // "low" joins from its own station and holds the floor. A replayed copy
+  // of its request then arrives from another address: it is answered
+  // there, but the Suspend that "high" later causes must still reach
+  // low's joined station and be acked.
+  ProtoWorld w(101, 0.0);
+  auto& low = w.add_station("low", 1);
+  auto& high = w.add_station("high", 5);
+  const net::NodeId elsewhere = w.network.add_node("elsewhere");
+  ASSERT_TRUE(low.agent->join());
+  ASSERT_TRUE(high.agent->join());
+  w.run_for(1.0);
+  const auto id = low.agent->request_floor(media::QosRequirement{0.6, 0.6, 0.6});
+  w.run_for(1.0);
+  ASSERT_EQ(low.agent->state(), AgentState::kGranted);
+
+  fproto::RequestMsg replay;
+  replay.request_id = id;
+  replay.member = low.agent->member();
+  replay.group = w.group;
+  replay.host = w.host;
+  replay.qos = media::QosRequirement{0.6, 0.6, 0.6};
+  w.network.send({elsewhere, w.server_node, wire_type(MsgKind::kRequest),
+                  fproto::encode(replay)});
+  w.run_for(1.0);
+  EXPECT_EQ(w.count("wire.server.station_mismatch"), 1);
+  EXPECT_EQ(w.count("wire.server.replay_hits"), 1);  // answered, not re-decided
+
+  high.agent->request_floor(media::QosRequirement{0.6, 0.6, 0.6});
+  w.run_for(2.0);
+  EXPECT_EQ(high.agent->state(), AgentState::kGranted);
+  EXPECT_EQ(low.agent->state(), AgentState::kSuspended);
+  EXPECT_EQ(w.server.notifies_pending(), 0u);  // acked from low's station
+}
+
+TEST(FloorServer, UnackedNotificationIsAbandonedAndCounted) {
+  // The holder's station goes dark: the Suspend is sent notify_max_tries
+  // times, then given up — visibly, in wire.server.notifies_abandoned.
+  ProtoWorld w(103, 0.0, Resource{1.0, 1.0, 1.0}, FcmMode::kFreeAccess,
+               PolicyKind::kThreeRegime,
+               fproto::ServerConfig{Duration::millis(120), 3});
+  auto& low = w.add_station("low", 1);
+  auto& high = w.add_station("high", 5);
+  ASSERT_TRUE(low.agent->join());
+  ASSERT_TRUE(high.agent->join());
+  w.run_for(1.0);
+  low.agent->request_floor(media::QosRequirement{0.6, 0.6, 0.6});
+  w.run_for(1.0);
+  ASSERT_EQ(low.agent->state(), AgentState::kGranted);
+
+  w.network.set_link(w.server_node, low.node,
+                     net::LinkQuality{Duration::millis(5), Duration::zero(), 1.0});
+  high.agent->request_floor(media::QosRequirement{0.6, 0.6, 0.6});
+  w.run_for(2.0);
+  EXPECT_EQ(high.agent->state(), AgentState::kGranted);
+  EXPECT_EQ(w.count("wire.server.suspends"), 1);
+  EXPECT_EQ(w.count("wire.server.notify_retransmits"), 2);  // tries 2 and 3
+  EXPECT_EQ(w.count("wire.server.notifies_abandoned"), 1);
+  EXPECT_EQ(w.server.notifies_pending(), 0u);
 }
 
 TEST(FloorAgent, ExponentialBackoffSendsFarFewerThanFixedDuringOutage) {
@@ -743,7 +874,7 @@ TEST(FloorAgent, ExponentialBackoffSendsFarFewerThanFixedDuringOutage) {
     EXPECT_TRUE(s.agent->join());
     w.run_for(1.0);
     EXPECT_EQ(s.agent->state(), AgentState::kJoined);
-    const auto sends_before = s.agent->messages_sent();
+    const auto sends_before = w.count("wire.agent.sends");
 
     const net::LinkQuality dead{Duration::millis(5), Duration::millis(2), 1.0};
     w.network.set_link(s.node, w.server_node, dead);
@@ -757,7 +888,8 @@ TEST(FloorAgent, ExponentialBackoffSendsFarFewerThanFixedDuringOutage) {
     w.network.set_link(w.server_node, s.node, healed);
     w.run_for(5.0);
     EXPECT_EQ(s.agent->state(), AgentState::kGranted);
-    return s.agent->messages_sent() - sends_before;
+    return static_cast<std::uint64_t>(w.count("wire.agent.sends") -
+                                      sends_before);
   };
 
   // factor 1.0 = the old fixed-interval schedule; 2.0 doubles to a 1s cap.

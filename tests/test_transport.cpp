@@ -431,8 +431,8 @@ TEST(UdpTransport, DroppedRequestIsRetransmittedAndConverges) {
   ASSERT_TRUE(w.run_until([&] { return s.granted == 1; }));
   EXPECT_EQ(s.agent->state(), fproto::AgentState::kGranted);
   EXPECT_GE(request_sends, 2);
-  EXPECT_GE(s.agent->retransmits(), 1u);
-  EXPECT_EQ(w.server->requests_arbitrated(), 1u);
+  EXPECT_GE(w.wire.agent_retransmits.value(), 1);
+  EXPECT_EQ(w.wire.server_arbitrations.value(), 1);
 }
 
 TEST(UdpTransport, HostileDatagramsAreCountedAndDropped) {

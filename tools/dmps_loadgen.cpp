@@ -244,12 +244,11 @@ int main(int argc, char** argv) {
       [&] { return run.loop.now() < grace_end && !all_done(); });
 
   // Report.
-  std::uint64_t ops = 0, retransmits = 0, denies = 0;
+  std::uint64_t ops = 0, denies = 0;
   int stuck = 0, failed = 0;
   for (const auto& client : run.clients) {
     ops += client->ops;
     denies += client->denies;
-    retransmits += client->agent->retransmits();
     if (!client->agent->terminated()) ++stuck;
     if (client->failed) ++failed;
   }
@@ -276,7 +275,7 @@ int main(int argc, char** argv) {
       static_cast<double>(ops) / measured_s, static_cast<long long>(pct(0.50)),
       static_cast<long long>(pct(0.90)), static_cast<long long>(pct(0.99)),
       static_cast<unsigned long long>(denies),
-      static_cast<unsigned long long>(retransmits),
+      static_cast<unsigned long long>(run.wire.agent_retransmits.value()),
       value("wire.udp.tx_datagrams"), value("wire.udp.rx_datagrams"),
       value("wire.udp.drop_malformed") + value("wire.udp.drop_version") +
           value("wire.udp.drop_unknown_kind") +
