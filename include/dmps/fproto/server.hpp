@@ -20,37 +20,36 @@
 //
 // Queueing groups add a third leg: a parked request is answered with
 // fp.queued, and the client's request retransmission becomes a poll. When a
-// release promotes the parked request, the server rewrites the stored reply
-// to the Grant and pushes it once — the poll replays it if the push is
-// lost, so promotions need no extra reliability machinery.
+// release promotes the parked request, the server turns the member's record
+// into a grant and pushes the Grant once — the poll replays it if the push
+// is lost, so promotions need no extra reliability machinery.
 //
-// Decided-request records age out: a member's next request id (its per-
-// member sequence is monotonic, one operation in flight at a time) proves
-// it saw every earlier reply, so all its older records are evicted and a
-// resurrected older id is refused without re-arbitration. decided_records()
-// therefore stays bounded by the member count, not by request volume.
-// Corollary: a MemberId's request-id namespace belongs to ONE FloorAgent
-// incarnation. A restarted station must register a fresh member (ids are
-// cheap) — re-using the id restarts the seq at 1, below the eviction
-// floor, and those requests are refused. (This was never supported: before
-// aging, the forever-kept record would instead replay a stale Grant for a
-// long-released floor, which is strictly worse.)
+// Per-member state is one record in member-indexed tables: the home
+// station and the last decided request (DESIGN.md §6.5a). A member's next
+// request id (its seq is monotonic, one operation in flight at a time)
+// proves it saw every earlier reply, so the new decision replaces the old
+// one; a re-sent id is answered by re-encoding the reply from the record,
+// and a resurrected older id is refused without re-arbitration. Memory is
+// bounded by member count, not request volume. Contract: a MemberId belongs
+// to ONE FloorAgent incarnation, in one group at a time; a restarted
+// station registers a fresh member (re-using the id restarts the seq below
+// the last decided one, and those requests are refused).
 //
-// Decided records are keyed by the raw request id, so a Request or Release
-// whose id's member half (id >> 32) is not its member lane is dropped
-// unanswered before any state is touched (wire.server.drop_invalid) —
-// otherwise one forged datagram could file a decision for member B under
-// member A's next id.
-// A member's home station is bound by its Join (or bind_station(), or its
-// first Request when nothing is bound yet); a Request from any other
-// address is answered to its sender but never rebinds the station
-// (wire.server.station_mismatch), so no sender can redirect a holder's
-// Suspend/Resume.
+// Dropped unanswered before any state is touched (wire.server.drop_invalid):
+// a Join, Leave, Request or Release naming a member the registry does not
+// know — the tables grow only on first contact from a registered member, so
+// forged ids cannot grow memory — and a Request or Release whose id's
+// member half (id >> 32) is not its member lane, which would otherwise let
+// one forged datagram decide member A's next id on member B's behalf.
+// A member's home station is bound by its Join (or its first Request when
+// nothing is bound yet); a Request from any other address is answered to
+// its sender but never rebinds the station (wire.server.station_mismatch),
+// so no sender can redirect a holder's Suspend/Resume.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "floor/group.hpp"
 #include "floor/service.hpp"
@@ -80,32 +79,25 @@ class FloorServer {
   FloorServer(const FloorServer&) = delete;
   FloorServer& operator=(const FloorServer&) = delete;
 
-  /// Pre-bind a member's home station (otherwise bound by its Join, or by
-  /// its first Request when none is bound yet — notifications need a
-  /// destination). A later Request from another address never rebinds it.
-  void bind_station(floorctl::MemberId member, net::NodeId node);
-
   // Event counts live only in the configured WireInstruments pack
   // (wire.server.*); the two accessors below report state sizes.
 
   /// Suspend/Resume notifications still awaiting their ack.
   std::size_t notifies_pending() const { return pending_notifies_.size(); }
-  /// Live decided-request records (aged out as members move on; bounded by
-  /// member count, not request volume).
-  std::size_t decided_records() const { return decided_.size(); }
+  /// Members with a decided request on file (one record each at most, so
+  /// bounded by member count, not request volume).
+  std::size_t decided_records() const;
 
  private:
-  struct DecisionRecord {
-    MsgKind reply_kind = MsgKind::kDeny;
-    net::Payload reply_ints;
-    bool released = false;  // the grant has since been given back
-  };
-  /// Per-member request history: record ids still alive (their seqs are
-  /// monotonic, so eviction pops from the front) and the seq floor below
-  /// which everything was already evicted.
-  struct MemberRecords {
-    std::deque<std::uint64_t> live;  // request ids with a decided_ entry
-    std::uint64_t evicted_below = 0;  // seqs < this were aged out
+  enum class Decided : std::uint8_t { kNone, kDenied, kQueued, kGranted, kReleased };
+  /// A member's last decided request. Its reply is re-encoded from these
+  /// fields: Grant for kGranted and kReleased, else Queued or Deny.
+  struct LastDecision {
+    std::uint32_t seq = 0;  // the request id's low half
+    floorctl::GroupId group;
+    Decided state = Decided::kNone;
+    floorctl::Outcome outcome = floorctl::Outcome::kDenied;
+    double availability = 0.0;  // host availability after a grant
   };
 
   void handle_join(const net::Message& msg);
@@ -117,14 +109,24 @@ class FloorServer {
 
   void release_holder(floorctl::MemberId member, floorctl::GroupId group);
   void send_suspends(const std::vector<floorctl::Holder>& suspended);
+  /// Grows `table` to cover every registered member when `member` lies past
+  /// its end; false, with nothing grown, when the registry does not know it.
+  template <class T>
+  bool cover(std::vector<T>& table, floorctl::MemberId member);
+  /// The member's last decision if it is `state` in `group`, else nullptr.
+  LastDecision* last_in(floorctl::MemberId member, floorctl::GroupId group,
+                        Decided state);
+  /// The member's home station (invalid while none is bound).
+  net::NodeId station_of(floorctl::MemberId member) const;
+  /// Send the reply `last` stores for the member's request to `node`.
+  void reply(net::NodeId node, floorctl::MemberId member, const LastDecision& last);
   /// One datagram on the wire: instrument pack, send.
   void transmit(net::NodeId node, net::MsgType type, const net::Payload& ints);
   /// A server-bound datagram refused without a reply or state change.
   void drop_invalid();
-  /// A duplicate answered from stored state (request replay, release
-  /// re-ack): the idempotency machinery's hit counter.
+  /// A request answered from the member's record without arbitration:
+  /// the idempotency machinery's hit counter.
   void replay_hit(floorctl::MemberId member, floorctl::HostId host);
-  void age_out_records(floorctl::MemberId member, std::uint64_t seq);
   void notify(floorctl::MemberId member, MsgKind kind, std::uint64_t request_id);
   void notify_tick(std::uint64_t notify_id);
 
@@ -133,13 +135,11 @@ class FloorServer {
   floorctl::FloorControl& service_;
   ServerConfig config_;
 
-  std::unordered_map<std::uint64_t, DecisionRecord> decided_;  // by request id
-  std::unordered_map<floorctl::MemberId::value_type, MemberRecords> member_records_;
-  std::unordered_map<floorctl::MemberId::value_type, net::NodeId> stations_;
-  // holder (member,group) -> its live granted request id
-  std::unordered_map<std::uint64_t, std::uint64_t> holder_request_;
-  // parked (member,group) -> the queued request id awaiting promotion
-  std::unordered_map<std::uint64_t, std::uint64_t> queued_request_;
+  // Both indexed by member id. Stations grow at a member's first Join or
+  // Request; decisions only at its first Request or Release, so a join
+  // storm files no decision records.
+  std::vector<net::NodeId> stations_;  // invalid = no home station bound
+  std::vector<LastDecision> decisions_;
 
   struct Notify {
     net::NodeId node;

@@ -1,15 +1,19 @@
 #include "fproto/server.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace dmps::fproto {
 
 namespace {
-/// Request ids pack (member << 32 | per-member seq); the seq half is what
-/// ages records out, the member half must name the sending member.
-std::uint64_t request_seq(std::uint64_t request_id) {
-  return request_id & 0xffffffffull;
+/// Request ids pack (member << 32 | per-member seq); the seq half orders a
+/// member's requests, the member half must name the sending member.
+std::uint32_t request_seq(std::uint64_t request_id) {
+  return static_cast<std::uint32_t>(request_id);
+}
+std::uint64_t request_id(floorctl::MemberId member, std::uint32_t seq) {
+  return (static_cast<std::uint64_t>(member.value()) << 32) | seq;
 }
 bool id_names_member(std::uint64_t request_id, floorctl::MemberId member) {
   return (request_id >> 32) == member.value();
@@ -62,8 +66,48 @@ FloorServer::~FloorServer() {
   }
 }
 
-void FloorServer::bind_station(floorctl::MemberId member, net::NodeId node) {
-  stations_[member.value()] = node;
+std::size_t FloorServer::decided_records() const {
+  return static_cast<std::size_t>(
+      std::count_if(decisions_.begin(), decisions_.end(),
+                    [](const LastDecision& d) { return d.state != Decided::kNone; }));
+}
+
+template <class T>
+bool FloorServer::cover(std::vector<T>& table, floorctl::MemberId member) {
+  if (member.value() < table.size()) return true;
+  // First contact from past the end: one snapshot load, then the table
+  // covers every registered member (ids are dense and never retired).
+  const auto snapshot = registry_.snapshot();
+  if (!snapshot->has_member(member)) return false;
+  table.resize(snapshot->member_count());
+  return true;
+}
+
+FloorServer::LastDecision* FloorServer::last_in(floorctl::MemberId member,
+                                                floorctl::GroupId group,
+                                                Decided state) {
+  if (member.value() >= decisions_.size()) return nullptr;
+  LastDecision& last = decisions_[member.value()];
+  return last.state == state && last.group == group ? &last : nullptr;
+}
+
+net::NodeId FloorServer::station_of(floorctl::MemberId member) const {
+  return member.value() < stations_.size() ? stations_[member.value()]
+                                           : net::NodeId::invalid();
+}
+
+void FloorServer::reply(net::NodeId node, floorctl::MemberId member,
+                        const LastDecision& last) {
+  const std::uint64_t id = request_id(member, last.seq);
+  if (last.state == Decided::kGranted || last.state == Decided::kReleased) {
+    const bool degraded = last.outcome == floorctl::Outcome::kGrantedDegraded;
+    transmit(node, wire_type(MsgKind::kGrant),
+             encode(GrantMsg{id, degraded, last.availability}));
+  } else if (last.state == Decided::kQueued) {
+    transmit(node, wire_type(MsgKind::kQueued), encode(QueuedMsg{id}));
+  } else {
+    transmit(node, wire_type(MsgKind::kDeny), encode(DenyMsg{id, last.outcome}));
+  }
 }
 
 void FloorServer::transmit(net::NodeId node, net::MsgType type,
@@ -85,8 +129,8 @@ void FloorServer::handle_join(const net::Message& msg) {
   const auto join = decode_join(msg);
   if (!join) return drop_invalid();
   const auto snapshot = registry_.snapshot();  // one load per datagram
-  if (!snapshot->has_member(join->member) || !snapshot->has_group(join->group)) {
-    return;  // unknown ids: not even a NACK target
+  if (!snapshot->has_group(join->group) || !cover(stations_, join->member)) {
+    return drop_invalid();  // unknown ids: not even a NACK target
   }
   stations_[join->member.value()] = msg.from;  // learn the home station
   // Idempotent: already-in counts as accepted, so a retransmitted Join
@@ -103,7 +147,7 @@ void FloorServer::handle_leave(const net::Message& msg) {
   const auto snapshot = registry_.snapshot();  // one load per datagram
   if (!snapshot->has_member(leave->member) ||
       !snapshot->has_group(leave->group)) {
-    return;
+    return drop_invalid();
   }
   bool accepted;
   if (!snapshot->in_group(leave->member, leave->group)) {
@@ -118,50 +162,34 @@ void FloorServer::handle_leave(const net::Message& msg) {
            encode(LeaveAckMsg{leave->member, leave->group, accepted}));
 }
 
-void FloorServer::age_out_records(floorctl::MemberId member, std::uint64_t seq) {
-  MemberRecords& records = member_records_[member.value()];
-  // A fresh request with seq s proves the member saw the reply to every
-  // operation with seq < s (one in-flight operation at a time): evict them.
-  while (!records.live.empty() && request_seq(records.live.front()) < seq) {
-    decided_.erase(records.live.front());
-    records.live.pop_front();
-  }
-  if (seq > records.evicted_below) records.evicted_below = seq;
-}
-
 void FloorServer::handle_request(const net::Message& msg) {
+  // dmps-lint: hot-begin(fproto-request) — every request datagram: decode,
+  // arbitrate, and reply from the member's fixed-size record.
   const auto request = decode_request(msg);
-  if (!request || !id_names_member(request->request_id, request->member)) {
+  if (!request || !id_names_member(request->request_id, request->member) ||
+      !cover(stations_, request->member) || !cover(decisions_, request->member)) {
     return drop_invalid();
   }
   // Join binds the home station; a request binds one only when none is.
   // A request from elsewhere is still answered to its sender below.
-  const auto [station, bound_now] =
-      stations_.try_emplace(request->member.value(), msg.from);
-  if (!bound_now && station->second != msg.from) {
+  net::NodeId& station = stations_[request->member.value()];
+  if (!station.valid()) {
+    station = msg.from;
+  } else if (station != msg.from) {
     wire_->server_station_mismatch.add();
   }
 
-  // Duplicate suppression: an id we already decided is answered from the
-  // stored reply — re-arbitrating a retransmission would double-reserve.
-  const auto it = decided_.find(request->request_id);
-  if (it != decided_.end()) {
+  LastDecision& last = decisions_[request->member.value()];
+  const std::uint32_t seq = request_seq(request->request_id);
+  if (last.state != Decided::kNone && seq <= last.seq) {
+    // Re-arbitrating a decided id could double-reserve. A re-sent one is
+    // answered from the record; an older one was answered long ago (the
+    // member has since moved on) and is refused with a Deny.
     replay_hit(request->member, request->host);
-    transmit(msg.from, wire_type(it->second.reply_kind), it->second.reply_ints);
-    return;
+    const LastDecision refused{seq, last.group, Decided::kDenied,
+                               floorctl::Outcome::kDenied, 0.0};
+    return reply(msg.from, request->member, seq == last.seq ? last : refused);
   }
-  // A resurrected id below the member's eviction floor was decided and aged
-  // out long ago (the member has since moved on); refuse it without
-  // re-arbitration — deciding it afresh could double-reserve.
-  const auto aged = member_records_.find(request->member.value());
-  if (aged != member_records_.end() &&
-      request_seq(request->request_id) < aged->second.evicted_below) {
-    replay_hit(request->member, request->host);
-    transmit(msg.from, wire_type(MsgKind::kDeny),
-             encode(DenyMsg{request->request_id, floorctl::Outcome::kDenied}));
-    return;
-  }
-  age_out_records(request->member, request_seq(request->request_id));
 
   floorctl::FloorRequest fr;
   fr.group = request->group;
@@ -172,30 +200,22 @@ void FloorServer::handle_request(const net::Message& msg) {
   const floorctl::Decision decision = service_.request(fr);
   wire_->server_arbitrations.add();
 
-  const auto key = floorctl::holder_key(request->member, request->group);
-  DecisionRecord record;
+  // The fresh seq proves the member saw every earlier reply, so this
+  // decision replaces its record.
+  last = LastDecision{seq, request->group, Decided::kDenied, decision.outcome,
+                      decision.availability_after};
   obs::Ev reply_ev;
   if (decision.outcome == floorctl::Outcome::kGranted ||
       decision.outcome == floorctl::Outcome::kGrantedDegraded) {
-    record.reply_kind = MsgKind::kGrant;
-    record.reply_ints = encode(GrantMsg{
-        request->request_id,
-        decision.outcome == floorctl::Outcome::kGrantedDegraded,
-        decision.availability_after});
-    holder_request_[key] = request->request_id;
+    last.state = Decided::kGranted;
     wire_->server_grants.add();
     reply_ev = obs::Ev::kGrant;
   } else if (decision.outcome == floorctl::Outcome::kQueued) {
-    record.reply_kind = MsgKind::kQueued;
-    record.reply_ints = encode(QueuedMsg{request->request_id});
-    // The newest id is the one the client polls with — the promotion Grant
-    // must be written for it.
-    queued_request_[key] = request->request_id;
+    // The client polls with this id; a promotion grants it.
+    last.state = Decided::kQueued;
     wire_->server_queued.add();
     reply_ev = obs::Ev::kQueue;
   } else {
-    record.reply_kind = MsgKind::kDeny;
-    record.reply_ints = encode(DenyMsg{request->request_id, decision.outcome});
     wire_->server_denies.add();
     reply_ev = obs::Ev::kDeny;
   }
@@ -203,132 +223,108 @@ void FloorServer::handle_request(const net::Message& msg) {
     tracer_->emit(reply_ev, request->member.value(), request->host.value(),
                   static_cast<std::uint8_t>(decision.outcome));
   }
-  transmit(msg.from, wire_type(record.reply_kind), record.reply_ints);
-  decided_.emplace(request->request_id, std::move(record));
-  member_records_[request->member.value()].live.push_back(request->request_id);
+  reply(msg.from, request->member, last);
 
   // Push Media-Suspend to every holder this grant displaced.
   send_suspends(decision.suspended);
+  // dmps-lint: hot-end
 }
 
 void FloorServer::send_suspends(const std::vector<floorctl::Holder>& suspended) {
   // Only holders granted through this server are tracked; others have no
   // wire state.
   for (const floorctl::Holder& holder : suspended) {
-    const auto req =
-        holder_request_.find(floorctl::holder_key(holder.member, holder.group));
-    if (req == holder_request_.end()) continue;
-    notify(holder.member, MsgKind::kSuspend, req->second);
+    const LastDecision* held = last_in(holder.member, holder.group, Decided::kGranted);
+    if (held == nullptr) continue;
+    notify(holder.member, MsgKind::kSuspend, request_id(holder.member, held->seq));
   }
 }
 
 void FloorServer::handle_release(const net::Message& msg) {
+  // dmps-lint: hot-begin(fproto-release) — every release datagram: free the
+  // member's floor once, ack every copy.
   const auto release = decode_release(msg);
-  if (!release || !id_names_member(release->request_id, release->member)) {
+  if (!release || !id_names_member(release->request_id, release->member) ||
+      !cover(decisions_, release->member)) {
     return drop_invalid();
   }
-
-  const auto it = decided_.find(release->request_id);
-  if (it == decided_.end() || it->second.reply_kind == MsgKind::kDeny) {
-    // Releasing something never granted: ack anyway so the client converges
-    // (deny the *request*, not the release retry).
-    transmit(msg.from, wire_type(MsgKind::kReleaseAck),
-             encode(ReleaseAckMsg{release->request_id}));
-    return;
-  }
-  // A retransmitted release after a lost ack is only re-acked, and not
-  // counted as a replay_hit(): wire.server.replay_hits counts request
-  // replays alone.
-  if (!it->second.released) {
-    it->second.released = true;
+  // Only the member's last request can hold a floor. release_holder() frees
+  // nothing for an id never granted or one already given back (a
+  // retransmission after a lost ack); either way the release is acked so
+  // the client converges, and it is not a replay_hit():
+  // wire.server.replay_hits counts request replays alone.
+  if (decisions_[release->member.value()].seq == request_seq(release->request_id)) {
     release_holder(release->member, release->group);
   }
   transmit(msg.from, wire_type(MsgKind::kReleaseAck),
            encode(ReleaseAckMsg{release->request_id}));
+  // dmps-lint: hot-end
 }
 
 void FloorServer::release_holder(floorctl::MemberId member,
                                  floorctl::GroupId group) {
-  const auto key = floorctl::holder_key(member, group);
-  const bool held = holder_request_.erase(key) > 0;
-  const bool parked = queued_request_.find(key) != queued_request_.end();
-  if (!held && !parked) return;
+  // A grant is given back here; a parked request is dropped by the release
+  // below, which reports it in result.dequeued.
+  if (LastDecision* held = last_in(member, group, Decided::kGranted)) {
+    held->state = Decided::kReleased;
+  } else if (last_in(member, group, Decided::kQueued) == nullptr) {
+    return;
+  }
   const floorctl::ReleaseResult result = service_.release(member, group);
 
   // Freed capacity may Media-Resume suspended holders — tell their stations.
   for (const floorctl::Holder& holder : result.resumed) {
-    const auto req = holder_request_.find(floorctl::holder_key(holder.member, holder.group));
-    if (req == holder_request_.end()) continue;  // resumed holder untracked
-    notify(holder.member, MsgKind::kResume, req->second);
+    const LastDecision* held = last_in(holder.member, holder.group, Decided::kGranted);
+    if (held == nullptr) continue;  // resumed holder untracked
+    notify(holder.member, MsgKind::kResume, request_id(holder.member, held->seq));
   }
 
-  // Queued requests the release promoted: rewrite each one's stored reply
-  // from Queued to the Grant, push it once (the client's poll replays it if
-  // the push is lost), and suspend whoever the promotion displaced.
+  // Queued requests the release promoted: turn each record into the grant,
+  // push it once (the client's poll replays it if the push is lost), and
+  // suspend whoever the promotion displaced.
   for (const floorctl::Promotion& promotion : result.promoted) {
-    const auto pkey =
-        floorctl::holder_key(promotion.holder.member, promotion.holder.group);
-    const auto queued = queued_request_.find(pkey);
-    if (queued == queued_request_.end()) continue;
-    const std::uint64_t request_id = queued->second;
-    queued_request_.erase(queued);
-    holder_request_[pkey] = request_id;
-    const net::Payload reply = encode(GrantMsg{
-        request_id,
-        promotion.decision.outcome == floorctl::Outcome::kGrantedDegraded,
-        promotion.decision.availability_after});
-    const auto record = decided_.find(request_id);
-    if (record != decided_.end()) {
-      record->second.reply_kind = MsgKind::kGrant;
-      record->second.reply_ints = reply;
-    }
+    const floorctl::MemberId promoted = promotion.holder.member;
+    LastDecision* parked =
+        last_in(promoted, promotion.holder.group, Decided::kQueued);
+    if (parked == nullptr) continue;
+    parked->state = Decided::kGranted;
+    parked->outcome = promotion.decision.outcome;
+    parked->availability = promotion.decision.availability_after;
     wire_->server_promotions.add();
     wire_->server_grants.add();
     if (tracer_ != nullptr) {
       // arg=1 marks a promotion push (vs a request's direct Grant reply).
-      tracer_->emit(obs::Ev::kGrant, promotion.holder.member.value(), 0, 1);
+      tracer_->emit(obs::Ev::kGrant, promoted.value(), 0, 1);
     }
-    const auto station = stations_.find(promotion.holder.member.value());
-    if (station != stations_.end()) {
-      transmit(station->second, wire_type(MsgKind::kGrant), reply);
-    }
+    const net::NodeId station = station_of(promoted);
+    if (station.valid()) reply(station, promoted, *parked);
     send_suspends(promotion.decision.suspended);
   }
 
   // Parked requests the releasing member abandoned (it left the group):
-  // rewrite the stored reply to a Deny so its polls converge.
+  // the record becomes a Deny so its polls converge.
   for (const floorctl::Holder& holder : result.dequeued) {
-    const auto dkey = floorctl::holder_key(holder.member, holder.group);
-    const auto queued = queued_request_.find(dkey);
-    if (queued == queued_request_.end()) continue;
-    const std::uint64_t request_id = queued->second;
-    queued_request_.erase(queued);
-    const net::Payload reply =
-        encode(DenyMsg{request_id, floorctl::Outcome::kDenied});
-    const auto record = decided_.find(request_id);
-    if (record != decided_.end()) {
-      record->second.reply_kind = MsgKind::kDeny;
-      record->second.reply_ints = reply;
-    }
+    LastDecision* parked = last_in(holder.member, holder.group, Decided::kQueued);
+    if (parked == nullptr) continue;
+    parked->state = Decided::kDenied;
+    parked->outcome = floorctl::Outcome::kDenied;
     wire_->server_denies.add();
     if (tracer_ != nullptr) {
       // arg=1 marks a dequeue push (the member left; its polls converge).
       tracer_->emit(obs::Ev::kDeny, holder.member.value(), 0, 1);
     }
-    const auto station = stations_.find(holder.member.value());
-    if (station != stations_.end()) {
-      transmit(station->second, wire_type(MsgKind::kDeny), reply);
-    }
+    const net::NodeId station = station_of(holder.member);
+    if (station.valid()) reply(station, holder.member, *parked);
   }
 }
 
 void FloorServer::notify(floorctl::MemberId member, MsgKind kind,
                          std::uint64_t request_id) {
-  const auto station = stations_.find(member.value());
-  if (station == stations_.end()) return;  // no known home station
+  const net::NodeId station = station_of(member);
+  if (!station.valid()) return;  // no known home station
   const std::uint64_t notify_id = next_notify_id_++;
   Notify pending;
-  pending.node = station->second;
+  pending.node = station;
   pending.kind = kind;
   pending.ints = kind == MsgKind::kSuspend
                      ? encode(SuspendMsg{notify_id, request_id})

@@ -706,8 +706,8 @@ TEST(FloorServer, DecidedRecordsAgeOutAsTheMemberMovesOn) {
     ASSERT_TRUE(s.agent->release_floor());
     w.run_for(1.0);
     ASSERT_EQ(s.agent->state(), AgentState::kJoined);
-    // At most the current request's record plus the one being superseded.
-    EXPECT_LE(w.server.decided_records(), 2u) << "iteration " << i;
+    // One record per member: the current request's.
+    EXPECT_EQ(w.server.decided_records(), 1u) << "iteration " << i;
   }
   EXPECT_EQ(w.count("wire.server.arbitrations"), 50);
 }
@@ -798,6 +798,58 @@ TEST(FloorServer, ForgedRequestIdIsDroppedBeforeArbitration) {
   w.run_for(1.0);
   EXPECT_EQ(w.count("wire.server.drop_invalid"), 2);
   EXPECT_EQ(w.count("wire.server.arbitrations"), 1);
+}
+
+TEST(FloorServer, RequestsFromUnregisteredMembersFileNothing) {
+  // Well-formed requests (id member half == member lane) naming member ids
+  // the registry never issued: each is dropped before any state is filed,
+  // so a forger cycling through ids cannot grow the server's memory.
+  ProtoWorld w(107, 0.0);
+  const net::NodeId forger = w.network.add_node("forger");
+  constexpr int kForged = 10'000;
+  for (int k = 0; k < kForged; ++k) {
+    fproto::RequestMsg forged;
+    forged.member = MemberId{static_cast<MemberId::value_type>(1000 + k)};
+    forged.request_id = (static_cast<std::uint64_t>(forged.member.value()) << 32) | 1;
+    forged.group = w.group;
+    forged.host = w.host;
+    forged.qos = media::QosRequirement{0.1, 0.1, 0.1};
+    w.network.send({forger, w.server_node, wire_type(MsgKind::kRequest),
+                    fproto::encode(forged)});
+  }
+  w.run_for(1.0);
+  EXPECT_EQ(w.server.decided_records(), 0u);
+  EXPECT_EQ(w.count("wire.server.drop_invalid"), kForged);
+  EXPECT_EQ(w.count("wire.server.arbitrations"), 0);
+  EXPECT_EQ(w.count("wire.server.denies"), 0);
+  EXPECT_EQ(w.count("wire.server.sends"), 0);
+}
+
+TEST(FloorServer, JoinOrLeaveFromAnUnknownMemberIsCountedUnanswered) {
+  // A Join naming a member past the registry's end (say, a daemon started
+  // with fewer --members than the load has agents) gets no reply, so the
+  // server's drop_invalid is the only place the mismatch shows.
+  ProtoWorld w(109, 0.0);
+  auto& a = w.add_station("a", 1);
+  const MemberId unknown{
+      static_cast<MemberId::value_type>(w.registry.snapshot()->member_count())};
+  w.network.send({a.node, w.server_node, wire_type(MsgKind::kJoin),
+                  fproto::encode(fproto::JoinMsg{unknown, w.group})});
+  w.run_for(1.0);
+  EXPECT_EQ(w.count("wire.server.drop_invalid"), 1);
+  EXPECT_EQ(w.count("wire.server.sends"), 0);
+
+  w.network.send({a.node, w.server_node, wire_type(MsgKind::kLeave),
+                  fproto::encode(fproto::LeaveMsg{unknown, w.group})});
+  w.run_for(1.0);
+  EXPECT_EQ(w.count("wire.server.drop_invalid"), 2);
+  EXPECT_EQ(w.count("wire.server.sends"), 0);
+
+  // The registered member's own Join is still answered.
+  ASSERT_TRUE(a.agent->join());
+  w.run_for(1.0);
+  EXPECT_EQ(a.agent->state(), AgentState::kJoined);
+  EXPECT_EQ(w.count("wire.server.drop_invalid"), 2);
 }
 
 TEST(FloorServer, RequestFromAnotherAddressCannotRedirectNotifications) {
